@@ -1004,7 +1004,8 @@ def replay(cert: Certificate | dict) -> ReplayResult:
         return ReplayResult(True)
     except _Fail as f:
         return ReplayResult(False, str(f))
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError, TypeError, AttributeError,
+            IndexError) as exc:
         return ReplayResult(False, f"malformed certificate: {exc}")
 
 

@@ -143,10 +143,6 @@ class ImprovingProfile:
                 return u0
         return self.breakpoints[-1][0]
 
-    def allows_strict_step(self, u) -> bool:
-        u = rat(u)
-        return ZERO < u < ONE
-
 
 def improving_profile_circle(d: int) -> ImprovingProfile:
     """Profile of circular/spherical averaging: corner at (1/(d+1), d/(d+1))."""

@@ -193,14 +193,6 @@ class ContractionDecomposition:
     pendant_trees: tuple[PendantTree, ...]
     is_tree: bool  # whole graph is a tree: core empty, handle via tree route
 
-    def vertex_map(self) -> dict[int, int | str]:
-        """original vertex -> "core" or the root of its pendant tree."""
-        out: dict[int, int | str] = {v: "core" for v in self.core_vertices}
-        for t in self.pendant_trees:
-            for v in t.vertices:
-                out[v] = t.root
-        return out
-
     def core_graph(self) -> tuple[Graph, dict[int, int]]:
         """Relabel the core to 1..k; returns (graph, original->relabeled)."""
         if not self.core_vertices:

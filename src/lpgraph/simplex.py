@@ -1,8 +1,14 @@
 """Exact linear programming over the rationals.
 
-Small dense two-phase simplex with Bland's rule, used for convex-hull
+Two-phase tableau simplex with Bland's rule, used for convex-hull
 membership, budget allocation in tree certificates, and join splits.  All
-pivots are `fractions.Fraction`; no floating point enters any decision.
+cells are `fractions.Fraction`; no floating point enters any decision.
+
+The tableau is stored densely but updated sparsely: a pivot divides and
+eliminates only on the nonzero columns of the pivot row, and each phase
+keeps its reduced-cost row up to date by the same sparse update instead of
+repricing every column from scratch.  Skipping a zero cell is exact, so the
+pivot sequence is the one the dense textbook tableau takes.
 """
 
 from __future__ import annotations
@@ -88,37 +94,37 @@ def solve_lp(objective: Sequence[Fraction], rows: Sequence[Row],
             ai += 1
         T.append(row)
 
-    def pivot(r: int, c: int) -> None:
-        piv = T[r][c]
-        T[r] = [v / piv for v in T[r]]
-        for i in range(m):
-            if i != r and T[i][c] != 0:
-                f = T[i][c]
-                T[i] = [a - f * b for a, b in zip(T[i], T[r])]
+    def pivot(r: int, c: int) -> list[int]:
+        """Pivot on (r, c); returns the nonzero columns of the new row r."""
+        row = T[r]
+        piv = row[c]
+        cols = [j for j, v in enumerate(row) if v]
+        for j in cols:
+            row[j] /= piv
+        for i, other in enumerate(T):
+            f = other[c]
+            if i != r and f:
+                for j in cols:
+                    other[j] -= f * row[j]
         basis[r] = c
+        return cols
 
     def run_simplex(cost: list[Fraction], allowed: int) -> Fraction:
         """Maximize cost.x over columns [0, allowed); returns optimal value."""
-        basic_set = set(basis)
+        # reduced costs d_j = cost_j - sum_i cost_basis(i) T[i][j]; the rhs
+        # entry d[width] is minus the objective value
+        d = cost + [Fraction(0)]
+        for i in range(m):
+            cb = cost[basis[i]]
+            if cb:
+                for j, v in enumerate(T[i]):
+                    if v:
+                        d[j] -= cb * v
         while True:
-            basic_set = set(basis)
-            enter = -1
-            for j in range(allowed):  # Bland: smallest improving index
-                if j in basic_set:
-                    continue
-                s = cost[j]
-                for i in range(m):
-                    cb = cost[basis[i]]
-                    if cb != 0 and T[i][j] != 0:
-                        s -= cb * T[i][j]
-                if s > 0:
-                    enter = j
-                    break
+            # Bland: smallest improving index; basic columns have d_j == 0
+            enter = next((j for j in range(allowed) if d[j] > 0), -1)
             if enter < 0:
-                val = Fraction(0)
-                for i in range(m):
-                    val += cost[basis[i]] * T[i][-1]
-                return val
+                return -d[width]
             leave = -1
             best = None
             for i in range(m):
@@ -131,7 +137,10 @@ def solve_lp(objective: Sequence[Fraction], rows: Sequence[Row],
                         leave = i
             if leave < 0:
                 raise _Unbounded()
-            pivot(leave, enter)
+            f = d[enter]
+            row = T[leave]
+            for j in pivot(leave, enter):
+                d[j] -= f * row[j]
 
     class _Unbounded(Exception):
         pass

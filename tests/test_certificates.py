@@ -1,7 +1,11 @@
 import copy
+import hashlib
 import itertools
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from lpgraph.certificates import (
@@ -26,6 +30,7 @@ from lpgraph.exponents import (
 from lpgraph.graphs import (
     Graph,
     cycle,
+    parse_graph,
     path3,
     single_edge,
     star,
@@ -318,9 +323,119 @@ def test_replay_rejects_tampered_hull_point():
     assert not replay(bad).ok
 
 
+@pytest.mark.parametrize("field,value", [
+    ("witness", None),
+    ("derivation", [1]),
+    ("vertices", None),
+])
+def test_replay_rejects_malformed_field(field, value):
+    cert = certify_tree(path3()).to_json_dict()
+    res = replay(dict(cert, **{field: value}))
+    assert not res.ok
+    assert res.failure.startswith("malformed certificate")
+
+
 def test_certificate_json_roundtrip():
     cert = certify(triangle_with_pendant_tree())
     obj = cert.to_json_dict()
     back = Certificate.from_json_dict(obj)
     assert back.to_json_dict() == obj
     assert replay(back).ok
+
+
+# ---------------------------------------------------------------------------
+# golden digests: sha256 of each certificate's sorted JSON.  A speedup must
+# keep every witness and derivation, so any change to them, or to the LP
+# pivots that choose among optimal vertices, fails here.  Trees are keyed by
+# their edges as networkx's nonisomorphic_trees labels them, 1-based.
+
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+
+GOLDEN_DIGESTS = {
+    "c4.graph":
+        "3a597ce3dddbebc66404b2b04bbe9bb73878393958d271545dc1845e992bc546",
+    "c6.graph":
+        "00628fa3c836e4c944bc5562e9573232e7db9df935b04a45f91e2edd8361cd22",
+    "edge.graph":
+        "cee947e8327e9475c00bea1bb4ae1c2805d37c82a9ba5359ada1718bddc3970a",
+    "k3.graph":
+        "b0cdfc7eadc5cfc9e7e8b917a25540862ec13bc3818c11ae5c9ced701e4098bc",
+    "path3.graph":
+        "57ca7a6c7399ef96b67a96999199da852ff136a10e12b4c9a626d7cc6366878f",
+    "star3.graph":
+        "e3833fe79c9f93abe7b66eb23f1db5cfd08c855a955fefa3274d553bb2b1b5f1",
+    "triangle_pendant.graph":
+        "580865e25e23d8ff6992414b2ebc7522ab4d27720880e21e6eac9c901d017a4a",
+    "two_blocks_13.graph":
+        "778048d763abf1a591dcd1e17d287c10f2d1d51bf100495e8899dfff7395ecf6",
+    "two_triangles.graph":
+        "33817c0eef026f1430bc7ec01ca77600a84fa189b737a6dfe8e259fd6a7e05ba",
+    "1-2":
+        "cee947e8327e9475c00bea1bb4ae1c2805d37c82a9ba5359ada1718bddc3970a",
+    "1-2 1-3":
+        "1de765d593777917085c93219ecc929b9867a913c925ce1512b8e5e0a51a9584",
+    "1-2 1-4 2-3":
+        "629027a6547273a2bd1e04aaf9e2042b9e7672c9633a1693bc1225c58bda7a27",
+    "1-2 1-3 1-4":
+        "e3833fe79c9f93abe7b66eb23f1db5cfd08c855a955fefa3274d553bb2b1b5f1",
+    "1-2 1-4 2-3 4-5":
+        "749eb322fc3fe351758253770ba6e26c3a959c5c8934da1abb6b7d5027fb452a",
+    "1-2 1-4 1-5 2-3":
+        "ef7d17a6a678e77e9a2005aefb9c0f3547569cf5be48a0ac6b6e3a84f4daea24",
+    "1-2 1-3 1-4 1-5":
+        "905ba3e1c880d46e0a3efc938cc3f69c0775ce2644e16ef012a76db66607ce5c",
+    "1-2 1-5 2-3 3-4 5-6":
+        "954328cb59998e669a0a50b0f826a2069b88b5be4787bd2499f688c9d6ea8f12",
+    "1-2 1-5 2-3 2-4 5-6":
+        "eeeabbce13cded62ff4fdd7c115aaa462a10125237c97529f88c03ebfe9650ce",
+    "1-2 1-5 1-6 2-3 2-4":
+        "10bd913241eed131003cb6ef92a659a8febc9968b88e1842ab190060d0b561b9",
+    "1-2 1-4 1-6 2-3 4-5":
+        "4e7b487e05dee72adff52b7f43edce4092f4cc50d74b7f4482340e0f0ac53dfd",
+    "1-2 1-4 1-5 1-6 2-3":
+        "3d96e29a5ca75e64f242d465e48c361f912466aa7cd3718ba5233a581af09287",
+    "1-2 1-3 1-4 1-5 1-6":
+        "2868d90fc64a30f5a4a2831753989721166213a93b7153b2ef2a0cc259801614",
+    "1-2 1-5 2-3 3-4 5-6 6-7":
+        "1855c46417844a8a397ff1e27d402c17f7cf1b871386f94f42eb4de0a29fceef",
+    "1-2 1-5 2-3 3-4 5-6 5-7":
+        "4e5e7d9b8437e64925c16900b9438904347f9f442797f54c7a1bd1af0971da90",
+    "1-2 1-5 1-7 2-3 3-4 5-6":
+        "c381ebc243abc44a499f39c58d7a973ad4e55590b41243213156678a88ff5463",
+    "1-2 1-6 2-3 2-4 2-5 6-7":
+        "e1e6e0131c57d62cce6b444d64284292e7c48e73e9655bd9942e1ca457569f6a",
+    "1-2 1-5 2-3 2-4 5-6 5-7":
+        "a208b861bcfe6890d72d447b180b8fc4fce9df83fd55a22eaf3051c5aa19f870",
+    "1-2 1-5 1-7 2-3 2-4 5-6":
+        "b6dd96427d2e91962b8c6b477eb13f181346df3ee73992e271cf355bf7252775",
+    "1-2 1-5 1-6 1-7 2-3 2-4":
+        "8917cbeff56126cbfc039e98651d65c564155b8c7882b9b4eb1bf054e0febb53",
+    "1-2 1-4 1-6 2-3 4-5 6-7":
+        "ef6597d2e47f5c3d6fd20b29858f106500c12928e95af93e1de3c48e168b7062",
+    "1-2 1-4 1-6 1-7 2-3 4-5":
+        "da3abbf004b5dff0fb9872eaeef8116c5af135ed3e3cbeaea336349654cc13ab",
+    "1-2 1-4 1-5 1-6 1-7 2-3":
+        "622da449d95ac453afdc0afd33683b4a90b2b097ad4e61800ded3854aa114bcf",
+    "1-2 1-3 1-4 1-5 1-6 1-7":
+        "b2ab3e7324c357c046255b336bc347fb00b818fca7bce3c38a1c23722987560c",
+}
+
+
+def _golden_cases():
+    for path in sorted(GRAPHS.glob("*.graph")):
+        yield path.name, parse_graph(path.read_text())
+    for n in range(2, 8):
+        for T in nx.nonisomorphic_trees(n):
+            edges = tuple(sorted(tuple(sorted((u + 1, v + 1)))
+                                 for u, v in T.edges()))
+            yield " ".join(f"{i}-{j}" for i, j in edges), Graph(n, edges)
+
+
+def test_certificate_digests_are_pinned():
+    seen = {}
+    for key, g in _golden_cases():
+        text = json.dumps(certify(g).to_json_dict(), sort_keys=True)
+        seen[key] = hashlib.sha256(text.encode()).hexdigest()
+    assert seen.keys() == GOLDEN_DIGESTS.keys()
+    changed = sorted(k for k in seen if seen[k] != GOLDEN_DIGESTS[k])
+    assert not changed, f"certificate digests changed for {changed}"

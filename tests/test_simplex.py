@@ -1,11 +1,19 @@
+from fractions import Fraction
 from fractions import Fraction as F
+from typing import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from lpgraph.simplex import feasible_combination, solve_lp
+from lpgraph.simplex import (
+    LPError,
+    LPResult,
+    Row,
+    feasible_combination,
+    solve_lp,
+)
 
 
 def test_simple_maximum():
@@ -110,3 +118,186 @@ def test_matches_float_solver(lp):
                       method="highs")
         assert ref.status == 0
         assert abs(float(res.value) + ref.fun) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# differential test against the dense textbook tableau: the sparse pivots and
+# the maintained reduced-cost row must take exactly the same Bland pivots, so
+# status, x and value agree exactly, not just up to the optimal face.  The
+# reference below is the dense solver verbatim, renamed.
+
+_RELS = ("<=", ">=", "==")
+
+
+def dense_solve_lp(objective: Sequence[Fraction], rows: Sequence[Row],
+                   maximize: bool = True) -> LPResult:
+    """Solve max/min objective . x subject to rows, x >= 0.
+
+    Bound constraints other than x >= 0 must be supplied as rows.  Bland's
+    rule keeps the pivot sequence finite and deterministic.
+    """
+    n = len(objective)
+    obj = [Fraction(c) for c in objective]
+    if not maximize:
+        obj = [-c for c in obj]
+
+    norm_rows: list[tuple[list[Fraction], str, Fraction]] = []
+    for coeffs, rel, rhs in rows:
+        if rel not in _RELS:
+            raise LPError(f"bad relation {rel!r}")
+        c = [Fraction(v) for v in coeffs]
+        if len(c) != n:
+            raise LPError("row dimension mismatch")
+        r = Fraction(rhs)
+        if r < 0:  # make rhs nonnegative so phase 1 starts feasible
+            c = [-v for v in c]
+            r = -r
+            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
+        norm_rows.append((c, rel, r))
+
+    m = len(norm_rows)
+    n_slack = sum(1 for _, rel, _ in norm_rows if rel != "==")
+    n_art = sum(1 for _, rel, _ in norm_rows if rel != "<=")
+    width = n + n_slack + n_art
+
+    # tableau rows: coefficients | rhs; basis[i] = column basic in row i
+    T: list[list[Fraction]] = []
+    basis: list[int] = []
+    si = n
+    ai = n + n_slack
+    art_cols = []
+    for coeffs, rel, rhs in norm_rows:
+        row = coeffs + [Fraction(0)] * (width - n) + [rhs]
+        if rel == "<=":
+            row[si] = Fraction(1)
+            basis.append(si)
+            si += 1
+        elif rel == ">=":
+            row[si] = Fraction(-1)
+            si += 1
+            row[ai] = Fraction(1)
+            basis.append(ai)
+            art_cols.append(ai)
+            ai += 1
+        else:
+            row[ai] = Fraction(1)
+            basis.append(ai)
+            art_cols.append(ai)
+            ai += 1
+        T.append(row)
+
+    def pivot(r: int, c: int) -> None:
+        piv = T[r][c]
+        T[r] = [v / piv for v in T[r]]
+        for i in range(m):
+            if i != r and T[i][c] != 0:
+                f = T[i][c]
+                T[i] = [a - f * b for a, b in zip(T[i], T[r])]
+        basis[r] = c
+
+    def run_simplex(cost: list[Fraction], allowed: int) -> Fraction:
+        """Maximize cost.x over columns [0, allowed); returns optimal value."""
+        basic_set = set(basis)
+        while True:
+            basic_set = set(basis)
+            enter = -1
+            for j in range(allowed):  # Bland: smallest improving index
+                if j in basic_set:
+                    continue
+                s = cost[j]
+                for i in range(m):
+                    cb = cost[basis[i]]
+                    if cb != 0 and T[i][j] != 0:
+                        s -= cb * T[i][j]
+                if s > 0:
+                    enter = j
+                    break
+            if enter < 0:
+                val = Fraction(0)
+                for i in range(m):
+                    val += cost[basis[i]] * T[i][-1]
+                return val
+            leave = -1
+            best = None
+            for i in range(m):
+                if T[i][enter] > 0:
+                    ratio = T[i][-1] / T[i][enter]
+                    if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave]
+                    ):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                raise _Unbounded()
+            pivot(leave, enter)
+
+    class _Unbounded(Exception):
+        pass
+
+    # phase 1: drive artificials to zero
+    if art_cols:
+        cost1 = [Fraction(0)] * width
+        for c in art_cols:
+            cost1[c] = Fraction(-1)
+        try:
+            v1 = run_simplex(cost1, width)
+        except _Unbounded:  # pragma: no cover - phase 1 is always bounded
+            raise LPError("phase 1 unbounded")
+        if v1 != 0:
+            return LPResult("infeasible", None, None)
+        # pivot remaining artificials out of the basis where possible
+        for i in range(m):
+            if basis[i] in art_cols:
+                for j in range(n + n_slack):
+                    if T[i][j] != 0:
+                        pivot(i, j)
+                        break
+        # rows still basic in an artificial are identically zero; leave them
+
+    cost2 = obj + [Fraction(0)] * (n_slack + n_art)
+    try:
+        value = run_simplex(cost2, n + n_slack)
+    except _Unbounded:
+        return LPResult("unbounded", None, None)
+
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = T[i][-1]
+    if not maximize:
+        value = -value
+    return LPResult("optimal", x, value)
+
+
+@st.composite
+def degenerate_lps(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    coef = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    c = [draw(coef) for _ in range(n)]
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "duplicate"]))
+        rel = draw(st.sampled_from(_RELS))
+        rhs = F(draw(st.integers(-6, 6)))
+        if kind == "duplicate" and rows:
+            coeffs, rel, rhs = rows[draw(st.integers(0, len(rows) - 1))]
+        elif kind == "zero":  # as == or >=, an artificial stays basic at 0
+            coeffs, rhs = [F(0)] * n, F(0)
+        else:
+            coeffs = [draw(coef) for _ in range(n)]
+        rows.append((coeffs, rel, rhs))
+    return c, rows, draw(st.booleans())
+
+
+@given(degenerate_lps())
+@example(([F(3, 4), F(-20), F(1, 2), F(-6)],
+          [([F(1, 4), F(-8), F(-1), F(9)], "<=", F(0)),
+           ([F(1, 2), F(-12), F(-1, 2), F(3)], "<=", F(0)),
+           ([F(0), F(0), F(1), F(0)], "<=", F(1))], True))
+@settings(max_examples=300, deadline=None)
+def test_matches_dense_reference(lp):
+    c, rows, maximize = lp
+    got = solve_lp(c, rows, maximize=maximize)
+    want = dense_solve_lp(c, rows, maximize=maximize)
+    assert (got.status, got.x, got.value) == (want.status, want.x, want.value)
