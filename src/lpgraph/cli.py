@@ -435,22 +435,16 @@ def build_parser() -> _Parser:
                 description="certificates, rigidity probes, and grid "
                             "estimators for unit-distance graph forms")
     p.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker cap (runs are serial; results never "
-                             "depend on this)")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    pa = sub.add_parser("analyze", help="structural report for a graph",
-                        parents=[common])
+    pa = sub.add_parser("analyze", help="structural report for a graph")
     pa.add_argument("graph")
     pa.add_argument("--probe-seeds", type=int, default=8)
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("-o", "--output")
     pa.set_defaults(func=cmd_analyze)
 
-    pc = sub.add_parser("certify", help="derive an improving-witness certificate",
-                        parents=[common])
+    pc = sub.add_parser("certify", help="derive an improving-witness certificate")
     pc.add_argument("graph")
     pc.add_argument("--verify", action="store_true",
                     help="replay the certificate before writing it")
@@ -460,7 +454,7 @@ def build_parser() -> _Parser:
     pc.set_defaults(func=cmd_certify)
 
     pp = sub.add_parser("polytope", help="exponent systems, membership, "
-                                    "comparisons", parents=[common])
+                                    "comparisons")
     pp.add_argument("--kind", choices=("triangle", "chain3", "regular"),
                     required=True)
     pp.add_argument("--d", type=int, default=2)
@@ -470,8 +464,7 @@ def build_parser() -> _Parser:
     pp.add_argument("-o", "--output")
     pp.set_defaults(func=cmd_polytope)
 
-    pr = sub.add_parser("realize", help="unit realizations and rank probes",
-                        parents=[common])
+    pr = sub.add_parser("realize", help="unit realizations and rank probes")
     pr.add_argument("graph")
     pr.add_argument("--seeds", type=int, default=100)
     pr.add_argument("--seed", type=int, default=0)
@@ -481,8 +474,7 @@ def build_parser() -> _Parser:
     pr.add_argument("-o", "--output")
     pr.set_defaults(func=cmd_realize)
 
-    pe = sub.add_parser("estimate", help="scaling, ratio, decay, oracle runs",
-                        parents=[common])
+    pe = sub.add_parser("estimate", help="scaling, ratio, decay, oracle runs")
     pe.add_argument("--preset", help=", ".join(sorted(_PRESETS)))
     pe.add_argument("--config", help="JSON experiment description")
     pe.add_argument("--grid-points", type=int, default=513)

@@ -6,6 +6,12 @@ returns that constant.  Quadrature nodes (angular midpoints times a radial
 Gauss rule across the bump) are shared between the splatted-kernel FFT
 path and the explicit node-sum paths, which makes the two agree to
 rounding error by construction.
+
+The triangle form is a Radon pair: the inner product of f with the
+bilinear rotation transform of (g, h) at theta = +-pi/3.  Its form path
+never builds the transform: at each kernel node u it forms f * S_u g once,
+shares it between the two rotations, and pairs it with each rotated
+h-shift through a fused cubic inner product.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from scipy.signal import fftconvolve
 
 from .graphs import Graph, is_tree
 from . import grids
-from .grids import GridField, MarginError, field_from_function, inner, lp_norm
+from .grids import GridField, MarginError, field_from_function, lp_norm
 
 TWO_PI = 2.0 * math.pi
 
@@ -131,13 +137,8 @@ def circular_average_nodesum(f: GridField, k: MollifiedCircleKernel) -> GridFiel
     return f.copy_with(out)
 
 
-def bilinear_radon(g: GridField, h: GridField, theta: float,
-                   k: MollifiedCircleKernel) -> GridField:
-    """B_theta(g, h)(x) = average over y of g(x - y) h(x - R_theta y).
-
-    Shared angular/radial quadrature with cubic-spline field sampling;
-    the rotation is applied to the quadrature node, not the grid.
-    """
+def _check_radon_factors(g: GridField, h: GridField,
+                         k: MollifiedCircleKernel) -> None:
     if not g.compatible(h):
         raise ValueError("fields must share a grid")
     for fld in (g, h):
@@ -145,8 +146,21 @@ def bilinear_radon(g: GridField, h: GridField, theta: float,
         # trusted 1 + eps inside, mirroring circular_average
         if not fld.boundary_free:
             fld.check_margin(1.0 + k.epsilon)
-    gp = grids.cubic_prefilter(g)
-    hp = grids.cubic_prefilter(h)
+
+
+def bilinear_radon(g: GridField, h: GridField, theta: float,
+                   k: MollifiedCircleKernel) -> GridField:
+    """B_theta(g, h)(x) = average over y of g(x - y) h(x - R_theta y).
+
+    Shared angular/radial quadrature with cubic-spline field sampling;
+    the rotation is applied to the quadrature node, not the grid.  The
+    triangle form does not call this: it fuses f into the product and
+    shares the g-shift between the two rotations (`_radon_pair`), and this
+    field-valued transform is the oracle that path is tested against.
+    """
+    _check_radon_factors(g, h, k)
+    gp = grids.cubic_prefilter(g, 1.0 + k.epsilon)
+    hp = grids.cubic_prefilter(h, 1.0 + k.epsilon)
     ct, st = math.cos(theta), math.sin(theta)
     r, wr = k.radial_rule()
     out = np.zeros_like(g.values)
@@ -235,12 +249,24 @@ def _guard_tree_margins(fields: Sequence[GridField], depth: dict[int, int],
 
 def _radon_pair(g: Graph, fields: Sequence[GridField],
                 k: MollifiedCircleKernel) -> float:
+    """sum over theta = +-pi/3 of inner(f, bilinear_radon(g, h, theta)),
+    fused: at each node u the product P = f * S_u g is formed once and paired
+    with the h-shift of both rotations by cubic_inner."""
     f, gg, hh = fields
-    total = 0.0
-    for theta in (math.pi / 3.0, -math.pi / 3.0):
-        b = bilinear_radon(gg, hh, theta, k)
-        total += inner(f, b.values)
-    return RADON_PAIR_FACTOR * total
+    _check_radon_factors(gg, hh, k)
+    gp = grids.cubic_prefilter(gg, 1.0 + k.epsilon)
+    hp = grids.cubic_prefilter(hh, 1.0 + k.epsilon)
+    rotations = [(math.cos(t), math.sin(t)) for t in (math.pi / 3.0, -math.pi / 3.0)]
+    sums = [0.0, 0.0]
+    r, wr = k.radial_rule()
+    for th in k.angles():
+        ux, uy = math.cos(th), math.sin(th)
+        for rad, w in zip(r, wr):
+            P = f.values * grids.shift_cubic(gp, f.h, rad * ux, rad * uy)
+            for i, (ct, st) in enumerate(rotations):
+                vx, vy = ct * ux - st * uy, st * ux + ct * uy
+                sums[i] += (w / k.M) * grids.cubic_inner(P, hp, f.h, rad * vx, rad * vy)
+    return float(RADON_PAIR_FACTOR * sum(s * f.h ** 2 for s in sums))
 
 
 def _direct_triangle(g: Graph, fields: Sequence[GridField],
@@ -257,41 +283,48 @@ def _direct_triangle(g: Graph, fields: Sequence[GridField],
         if fld.boundary_free:
             raise MarginError("direct quadrature needs compactly supported fields")
     eps = k.epsilon
-    gp = grids.cubic_prefilter(gg)
-    hp = grids.cubic_prefilter(hh)
+    gp = grids.cubic_prefilter(gg, 1.0 + eps)
+    hp = grids.cubic_prefilter(hh, 1.0 + eps)
     tu, wu = leggauss(n_radial)
     tl, wl = leggauss(n_lens)
+    bu, bl = bump(tu), bump(tl)
     h2 = f.h ** 2
+
+    # radial nodes r with weight w_u, and the lens nodes (w_lens, d, perp) of
+    # each: the two circle crossings sit at d u +- perp u_perp
+    radial = []
+    for a in range(n_radial):
+        r = 1.0 + eps * tu[a]
+        w_u = bu[a] * (1.0 + eps * tu[a]) * wu[a] / (TWO_PI) * (TWO_PI / m_alpha)
+        lens = []
+        for b in range(n_lens):
+            R1 = 1.0 + eps * tl[b]
+            for c in range(n_lens):
+                R2 = 1.0 + eps * tl[c]
+                d = (r * r + R1 * R1 - R2 * R2) / (2.0 * r)
+                perp_sq = R1 * R1 - d * d
+                if perp_sq <= 0.0:
+                    continue
+                perp = math.sqrt(perp_sq)
+                jac = (R1 * R2) / (r * perp)
+                w_lens = (bl[b] * wl[b] / TWO_PI) * (bl[c] * wl[c] / TWO_PI) * jac
+                lens.append((w_lens, d, perp))
+        radial.append((r, w_u, lens))
 
     total = 0.0
     for mi in range(m_alpha):
         th = TWO_PI * (mi + 0.5) / m_alpha
         ux, uy = math.cos(th), math.sin(th)
-        for a in range(n_radial):
-            r = 1.0 + eps * tu[a]
-            w_u = bump(tu[a]) * (1.0 + eps * tu[a]) * wu[a] / (TWO_PI) * (TWO_PI / m_alpha)
-            gs = grids.shift_cubic(gp, f.h, r * ux, r * uy)
-            P = f.values * gs
+        for r, w_u, lens in radial:
+            P = f.values * grids.shift_cubic(gp, f.h, r * ux, r * uy)
             inner_sum = 0.0
-            for b in range(n_lens):
-                R1 = 1.0 + eps * tl[b]
-                for c in range(n_lens):
-                    R2 = 1.0 + eps * tl[c]
-                    d = (r * r + R1 * R1 - R2 * R2) / (2.0 * r)
-                    perp_sq = R1 * R1 - d * d
-                    if perp_sq <= 0.0:
-                        continue
-                    perp = math.sqrt(perp_sq)
-                    jac = (R1 * R2) / (r * perp)
-                    w_lens = (bump(tl[b]) * wl[b] / TWO_PI) * \
-                             (bump(tl[c]) * wl[c] / TWO_PI) * jac
-                    for sgn in (1.0, -1.0):
-                        vx = d * ux - sgn * perp * uy
-                        vy = d * uy + sgn * perp * ux
-                        hs = grids.shift_cubic(hp, f.h, vx, vy)
-                        inner_sum += w_lens * float(np.sum(P * hs))
+            for w_lens, d, perp in lens:
+                for sgn in (1.0, -1.0):
+                    vx = d * ux - sgn * perp * uy
+                    vy = d * uy + sgn * perp * ux
+                    inner_sum += w_lens * grids.cubic_inner(P, hp, f.h, vx, vy)
             total += w_u * inner_sum * h2
-    return total
+    return float(total)
 
 
 def _direct_chain(g: Graph, fields: Sequence[GridField],

@@ -128,6 +128,8 @@ def _shift_int(arr: np.ndarray, di: int, dj: int) -> np.ndarray:
     """Integer shift with zero fill: out[j, i] = arr[j - dj, i - di]."""
     out = np.zeros_like(arr)
     n, m = arr.shape
+    if abs(dj) >= n or abs(di) >= m:
+        return out  # shifted entirely off the grid
     js = slice(max(dj, 0), n + min(dj, 0))
     is_ = slice(max(di, 0), m + min(di, 0))
     js_src = slice(max(-dj, 0), n + min(-dj, 0))
@@ -159,9 +161,35 @@ def shift_bilinear(f: GridField, dx: float, dy: float) -> np.ndarray:
 _CUBIC_MODE = "constant"
 
 
-def cubic_prefilter(f: GridField) -> np.ndarray:
-    """Spline coefficients for repeated order-3 shifted sampling."""
-    return ndimage.spline_filter(f.values, order=3, mode=_CUBIC_MODE)
+@dataclass(frozen=True)
+class CubicCoeffs:
+    """Order-3 spline coefficients of an n x n field, stored zero-padded by
+    `pad` cells on every side.
+
+    A shift whose taps stay inside the padding reads its four taps per axis
+    as views of `padded`; the zeros stand for the zero fill outside the grid.
+    """
+    padded: np.ndarray
+    pad: int
+
+    @property
+    def n(self) -> int:
+        return self.padded.shape[0] - 2 * self.pad
+
+    @property
+    def size(self) -> int:
+        return self.n * self.n
+
+
+def cubic_prefilter(f: GridField, reach: float = 0.0) -> CubicCoeffs:
+    """Spline coefficients for repeated order-3 shifted sampling.
+
+    Shifts up to `reach` (physical units) in each axis read views of the
+    padded coefficients; longer ones pad a temporary copy.
+    """
+    coeffs = ndimage.spline_filter(f.values, order=3, mode=_CUBIC_MODE)
+    pad = int(math.ceil(reach / f.h)) + 3
+    return CubicCoeffs(np.pad(coeffs, pad), pad)
 
 
 def _bspline3_weights(t: float) -> tuple[float, float, float, float]:
@@ -174,28 +202,75 @@ def _bspline3_weights(t: float) -> tuple[float, float, float, float]:
     return w0, w1, w2, w3
 
 
-def shift_cubic(prefiltered: np.ndarray, h: float, dx: float, dy: float) -> np.ndarray:
-    """Order-3 spline values of x -> f(x - (dx, dy)); zero outside."""
+def _cubic_x_pass(c: CubicCoeffs, h: float, dx: float, dy: float):
+    """The x filter of a cubic shift, on the n + 3 rows its y pass reads.
+
+    Returns (tmp, wy): output row j of the shift is the sum over the y taps
+    k = -1..2 of wy[k + 1] * tmp[2 - k + j]; tmp is None when every tap
+    falls outside the grid, so the shift is zero.
+    """
     sx = dx / h
     sy = dy / h
     i0 = math.floor(sx)
     j0 = math.floor(sy)
     wx = _bspline3_weights(sx - i0)
     wy = _bspline3_weights(sy - j0)
-    # separable: filter along x first, then y
+    n, a, p = c.n, c.padded, c.pad
+    # taps i0 - 1 .. i0 + 2 (and likewise in y) of every output cell read
+    # inside a padding of `need` cells; past n + 2 they all miss the grid
+    need = max(i0 + 2, 1 - i0, j0 + 2, 1 - j0)
+    if need > n + 2:
+        return None, wy
+    if need > p:
+        a = np.pad(a[p:p + n, p:p + n], need)
+        p = need
+    rows = a[p - j0 - 2:p - j0 + n + 1]
     tmp = None
     for k, w in enumerate(wx, start=-1):
         if w == 0.0:
             continue
-        part = w * _shift_int(prefiltered, i0 + k, 0)
-        tmp = part if tmp is None else tmp + part
+        col = p - i0 - k
+        part = w * rows[:, col:col + n]
+        if tmp is None:
+            tmp = part
+        else:
+            tmp += part
+    return tmp, wy
+
+
+def shift_cubic(prefiltered: CubicCoeffs, h: float, dx: float, dy: float) -> np.ndarray:
+    """Order-3 spline values of x -> f(x - (dx, dy)); zero outside."""
+    n = prefiltered.n
+    tmp, wy = _cubic_x_pass(prefiltered, h, dx, dy)
+    if tmp is None:
+        return np.zeros((n, n))
     out = None
     for k, w in enumerate(wy, start=-1):
         if w == 0.0:
             continue
-        part = w * _shift_int(tmp, 0, j0 + k)
-        out = part if out is None else out + part
+        part = w * tmp[2 - k:2 - k + n]
+        if out is None:
+            out = part
+        else:
+            out += part
     return out
+
+
+def cubic_inner(P: np.ndarray, prefiltered: CubicCoeffs, h: float,
+                dx: float, dy: float) -> float:
+    """sum(P * shift_cubic(prefiltered, h, dx, dy)) without forming the
+    shift: the y pass becomes one dot product per tap."""
+    n = prefiltered.n
+    tmp, wy = _cubic_x_pass(prefiltered, h, dx, dy)
+    if tmp is None:
+        return 0.0
+    flat = P.ravel()
+    total = 0.0
+    for k, w in enumerate(wy, start=-1):
+        if w == 0.0:
+            continue
+        total += w * np.dot(flat, tmp[2 - k:2 - k + n].ravel())
+    return float(total)
 
 
 # norms and inner products --------------------------------------------------

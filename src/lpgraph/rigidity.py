@@ -349,8 +349,13 @@ def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
         w = np.where(ok, w, 0.0)
         hits += int(np.sum(ok))
         w *= (2.0 * epsilon) ** (-len(non_tree))
+        # rejected weights are exactly zero: sample the factors only where
+        # every window fired
+        acc = np.flatnonzero(ok)
+        wa = w[acc]
         for v in range(2, g.n + 1):
-            w *= functions[v - 1].sample_bilinear(pts[:, v - 1])
+            wa *= functions[v - 1].sample_bilinear(pts[acc, v - 1])
+        w[acc] = wa
         total += float(np.sum(w))
         total_sq += float(np.sum(w * w))
         done += m

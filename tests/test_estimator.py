@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 from scipy.special import j0
 
 from lpgraph.estimator import (
+    RADON_PAIR_FACTOR,
     MethodError,
     bilinear_radon,
     bump,
@@ -19,7 +21,7 @@ from lpgraph.estimator import (
     test_family as field_family,
 )
 from lpgraph.graphs import Graph, path3, single_edge, triangle
-from lpgraph.grids import GridField, MarginError, lp_norm
+from lpgraph.grids import GridField, MarginError, inner, lp_norm
 from lpgraph import grids
 
 L0 = 2.2
@@ -167,6 +169,152 @@ def test_radon_matches_dense_double_quadrature_at_origin():
         norm += bump(tr) * (1 + k.epsilon * tr) * na
     val /= norm
     assert abs(b.values[mid, mid] - val) / abs(val) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# cubic shifts and the fused Radon-pair inner products
+
+
+def _zero_fill_shift(arr, di, dj):
+    """out[j, i] = arr[j - dj, i - di], zero where that falls off the grid."""
+    n, m = arr.shape
+    pad = max(abs(di), abs(dj), 1)
+    big = np.pad(arr, pad)
+    return big[pad - dj:pad - dj + n, pad - di:pad - di + m]
+
+
+def _reference_shift_cubic(values, h, dx, dy):
+    """The separable zero-fill cubic shift as it was written before the
+    padded coefficients: one zero-filled integer-shift copy per tap."""
+    coeffs = ndimage.spline_filter(values, order=3, mode="constant")
+    sx, sy = dx / h, dy / h
+    i0, j0 = math.floor(sx), math.floor(sy)
+    wx = grids._bspline3_weights(sx - i0)
+    wy = grids._bspline3_weights(sy - j0)
+    tmp = None
+    for k, w in enumerate(wx, start=-1):
+        if w == 0.0:
+            continue
+        part = w * _zero_fill_shift(coeffs, i0 + k, 0)
+        tmp = part if tmp is None else tmp + part
+    out = None
+    for k, w in enumerate(wy, start=-1):
+        if w == 0.0:
+            continue
+        part = w * _zero_fill_shift(tmp, 0, j0 + k)
+        out = part if out is None else out + part
+    return out
+
+
+def _reference_shift_bilinear(f, dx, dy):
+    sx, sy = dx / f.h, dy / f.h
+    i0, j0 = math.floor(sx), math.floor(sy)
+    fx, fy = sx - i0, sy - j0
+    out = np.zeros_like(f.values)
+    for di, wx in ((0, 1 - fx), (1, fx)):
+        for dj, wy in ((0, 1 - fy), (1, fy)):
+            if wx != 0.0 and wy != 0.0:
+                out += (wx * wy) * _zero_fill_shift(f.values, i0 + di, j0 + dj)
+    return out
+
+
+@st.composite
+def _field_and_shift(draw):
+    m = draw(st.integers(4, 20))
+    L = 1.5
+    h = L / m
+    n = 2 * m + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    f = GridField(L, h, rng.uniform(-1.0, 1.0, (n, n)))
+    width = 2.0 * L
+    dx = draw(st.floats(-width, width, exclude_min=True, exclude_max=True))
+    dy = draw(st.floats(-width, width, exclude_min=True, exclude_max=True))
+    reach = draw(st.sampled_from([0.0, 0.5, width]))
+    return f, dx, dy, reach
+
+
+@settings(max_examples=200, deadline=None)
+@given(_field_and_shift())
+def test_shift_cubic_bit_identical_to_zero_fill_reference(case):
+    # the padded coefficients read the taps as views; the zeros of the padding
+    # must reproduce the zero fill bit for bit, whether the shift stays inside
+    # the padding (reach = width) or needs a wider temporary (reach = 0)
+    f, dx, dy, reach = case
+    got = grids.shift_cubic(grids.cubic_prefilter(f, reach), f.h, dx, dy)
+    want = _reference_shift_cubic(f.values, f.h, dx, dy)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_shifts_beyond_the_grid_fill_with_zeros():
+    f = field_family("gaussian", 3.0, grids.grid_spacing(3.0, 129),
+                     center=(0.2, -0.1), width=0.3)
+    n = f.size
+    pf = grids.cubic_prefilter(f)
+    for cells in (n, 1.5 * n, 2 * n, 6.5 / f.h):
+        for sx, sy in ((1, 0), (0, -1), (-1, 1)):
+            dx, dy = sx * cells * f.h, sy * cells * f.h
+            cub = grids.shift_cubic(pf, f.h, dx, dy)
+            lin = grids.shift_bilinear(f, dx, dy)
+            assert np.array_equal(cub, _reference_shift_cubic(f.values, f.h, dx, dy))
+            assert np.array_equal(lin, _reference_shift_bilinear(f, dx, dy))
+            if cells > n + 2:
+                assert not cub.any() and not lin.any()
+    for d in (n, n + 1, 3 * n // 2, 2 * n - 1, 2 * n):
+        assert not grids._shift_int(f.values, d, 0).any()
+        assert not grids._shift_int(f.values, 0, -d).any()
+
+
+def test_cubic_inner_equals_sum_of_product():
+    rng = np.random.default_rng(5)
+    L, h = 3.0, grids.grid_spacing(3.0, 97)
+    g = field_family("gaussian", L, h, center=(0.4, -0.3), width=0.2)
+    P = field_family("gaussian", L, h, center=(-0.2, 0.5), width=0.4).values
+    P = P * (1.0 + 0.1 * rng.standard_normal(P.shape))
+    for reach in (0.0, 1.5):
+        pg = grids.cubic_prefilter(g, reach)
+        for dx, dy in rng.uniform(-1.5, 1.5, (40, 2)):
+            prod = P * grids.shift_cubic(pg, h, dx, dy)
+            want = float(np.sum(prod))
+            got = grids.cubic_inner(P, pg, h, dx, dy)
+            assert abs(got - want) <= 1e-12 * float(np.sum(np.abs(prod)))
+
+
+def _moved_triangle_gaussians(L=3.0, N=65):
+    h = 2 * L / (N - 1)
+    r0 = 1 / math.sqrt(3)
+    return [field_family("gaussian", L, h, width=0.15,
+                         center=(r0 * math.cos(a) + 0.05, r0 * math.sin(a) - 0.03))
+            for a in (0.3, 0.3 + 2 * math.pi / 3, 0.3 + 4 * math.pi / 3)]
+
+
+def test_radon_pair_equals_inner_with_bilinear_radon():
+    # the form path fuses f into the product and shares the g-shift between
+    # the two rotations; bilinear_radon is the field-valued oracle
+    f, g, hf = _moved_triangle_gaussians()
+    k = make_kernel(1 / 16, 128, radial_nodes=3)
+    fused = form_evaluate(triangle(), [f, g, hf], k, method="radon-pair")
+    oracle = RADON_PAIR_FACTOR * sum(
+        inner(f, bilinear_radon(g, hf, theta, k).values)
+        for theta in (math.pi / 3, -math.pi / 3))
+    assert abs(fused - oracle) <= 1e-12 * abs(oracle)
+
+
+def test_triangle_forms_pinned_and_python_floats():
+    # values of the unfused quadrature (one shift per tap, field-valued
+    # transform), recorded before the fused inner products
+    fs = _moved_triangle_gaussians()
+    k = make_kernel(1 / 16, 128, radial_nodes=3)
+    radon = form_evaluate(triangle(), fs, k, method="radon-pair")
+    direct = form_evaluate(triangle(), fs, k, method="direct",
+                           direct_params=dict(m_alpha=32))
+    assert abs(radon - 8.193522202603178e-05) <= 1e-12 * 8.193522202603178e-05
+    assert abs(direct - 8.14995506916131e-05) <= 1e-12 * 8.14995506916131e-05
+    chain = form_evaluate(path3(), fs, k, method="direct")
+    tree = form_evaluate(path3(), fs, k, method="tree-factor")
+    mc = form_evaluate(triangle(), fs, k, method="leray-mc", mc_samples=20_000)
+    for v in (radon, direct, chain, tree, mc):
+        assert type(v) is float
 
 
 def test_form_tree_factor_equals_direct_chain():

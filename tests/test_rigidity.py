@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lpgraph.graphs import Graph, cycle, single_edge, triangle
+from lpgraph.graphs import Graph, cycle, path3, single_edge, triangle
 from lpgraph.rigidity import (
     CoincidentEndpointsError,
     Realization,
@@ -19,6 +19,7 @@ from lpgraph.rigidity import (
     solve_realization,
 )
 from lpgraph.estimator import test_family as field_family
+from lpgraph import grids
 
 EQUILATERAL = Realization(np.array([[0.0, 0.0], [1.0, 0.0],
                                     [0.5, math.sqrt(3.0) / 2.0]]))
@@ -217,3 +218,25 @@ def test_mc_linear_in_each_factor():
     est2 = leray_mc_form(single_edge(), doubled, epsilon=1 / 16,
                          samples=50_000, master_seed=3)
     assert math.isclose(est2.value, 2.0 * est1.value, rel_tol=1e-12)
+
+
+def test_mc_results_pinned():
+    # (value, std_error, shell_hits) recorded before the factors were sampled
+    # at accepted points only; a partial last batch is included
+    L = 2.6
+    h = grids.grid_spacing(L, 97)
+    r0 = 1 / math.sqrt(3)
+    tri = _gaussians(L, h, [(r0 * math.cos(a), r0 * math.sin(a))
+                            for a in (0, 2 * math.pi / 3, 4 * math.pi / 3)],
+                     width=0.15)
+    est = leray_mc_form(triangle(), tri, epsilon=1 / 32, samples=250_000,
+                        master_seed=7, batch=100_000)
+    assert (est.value, est.std_error, est.shell_hits) == (
+        0.019099117577497507, 0.0016927687940635873, 5742)
+    chain = [field_family("ball", L, h, delta=0.3),
+             field_family("annulus", L, h, delta=0.25),
+             field_family("gaussian", L, h, center=(0.2, -0.1), width=0.2)]
+    est = leray_mc_form(path3(), chain, epsilon=1 / 16, samples=150_000,
+                        master_seed=3, batch=100_000)
+    assert (est.value, est.std_error, est.shell_hits) == (
+        0.0013459331171096123, 4.6403516337823e-05, 150000)
