@@ -7,6 +7,15 @@ Gauss rule across the bump) are shared between the splatted-kernel FFT
 path and the explicit node-sum paths, which makes the two agree to
 rounding error by construction.
 
+The FFT path transforms only the nonzero bounding box of the averaged
+field, and only on the cells its reader needs: the whole grid for
+`circular_average`, the bounding box of the parent vertex's factor in a
+tree form, whose product vanishes elsewhere.  Each axis then takes the
+shortest fast real-FFT length that keeps wrap-around out of that window,
+and every cell outside it is an exact zero.  Cropping drops only exact
+zeros, so in exact arithmetic the values are those of the full-size
+"same" convolution.
+
 The triangle form is a Radon pair: the inner product of f with the
 bilinear rotation transform of (g, h) at theta = +-pi/3.  Its form path
 never builds the transform: at each kernel node u it forms f * S_u g once,
@@ -22,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.signal import fftconvolve
+from scipy.fft import irfft2, next_fast_len, rfft2
 
 from .graphs import Graph, is_tree
 from . import grids
@@ -113,6 +122,52 @@ def policy_angular_nodes(h: float) -> int:
 # averaging and the bilinear rotation transform
 
 
+def fftconvolve(block: np.ndarray, kernel: np.ndarray,
+                window: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Cells [start, stop) per axis of the full linear convolution of block
+    and kernel, by real FFTs of the shortest fast length whose wrap-around
+    misses the window."""
+    shape = [next_fast_len(max(nb, nk, nb + nk - 1 - a, b), real=True)
+             for nb, nk, (a, b) in zip(block.shape, kernel.shape, window)]
+    full = irfft2(rfft2(block, shape) * rfft2(kernel, shape), shape)
+    (a0, b0), (a1, b1) = window
+    return full[a0:b0, a1:b1]
+
+
+def _support_box(values: np.ndarray) -> list[tuple[int, int]]:
+    """Per axis, the [start, stop) of the nonzero cells; (0, 0) if none."""
+    nonzero = values != 0.0
+    box = []
+    for other in (1, 0):
+        nz = np.flatnonzero(nonzero.any(axis=other))
+        box.append((int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0))
+    return box
+
+
+def _windowed_average(values: np.ndarray, kernel: np.ndarray,
+                      window: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The "same"-aligned convolution of values with kernel on the output
+    cells [start, stop) per axis of window, and exact zeros elsewhere.
+
+    Only the nonzero bounding box of values is transformed.  Output cell j
+    is cell j + (K - 1) // 2 of the full convolution of values, which is
+    cell j + (K - 1) // 2 - lo of the full convolution of the box at lo.
+    """
+    out = np.zeros(values.shape)
+    box = _support_box(values)
+    full_window, out_window = [], []
+    for (lo, hi), (w0, w1), kn in zip(box, window, kernel.shape):
+        off = (kn - 1) // 2 - lo
+        a, b = max(w0 + off, 0), min(w1 + off, hi - lo + kn - 1)
+        if lo == hi or a >= b:
+            return out
+        full_window.append((a, b))
+        out_window.append(slice(a - off, b - off))
+    block = values[box[0][0]:box[0][1], box[1][0]:box[1][1]]
+    out[tuple(out_window)] = fftconvolve(block, kernel, full_window)
+    return out
+
+
 def circular_average(f: GridField, k: MollifiedCircleKernel,
                      allow_boundary: bool = False) -> GridField:
     """Af(x): average of f over the mollified unit circle around x.
@@ -121,10 +176,16 @@ def circular_average(f: GridField, k: MollifiedCircleKernel,
     one on the interior.  Fields standing for global objects (boundary_free)
     are accepted; their averages are then only valid 1 + eps away from the
     boundary.
+
+    The convolution transforms only the nonzero bounding box of f and reads
+    the whole grid as its window, so the FFT length per axis is at most
+    N + K // 2 for a K-cell kernel raster instead of the N + K - 1 of a
+    full convolution.
     """
     if not allow_boundary and not f.boundary_free:
         f.check_margin(1.0 + k.epsilon)
-    out = fftconvolve(f.values, k.raster(f), mode="same")
+    out = _windowed_average(f.values, k.raster(f),
+                            [(0, n) for n in f.values.shape])
     return f.copy_with(out, boundary_free=f.boundary_free)
 
 
@@ -209,6 +270,8 @@ def _tree_factor(g: Graph, fields: Sequence[GridField],
 
     _guard_tree_margins(fields, depth, k.epsilon)
 
+    # all fields share one grid, so one raster serves every vertex
+    kernel = k.raster(fields[0]) if use_fft else None
     partial: dict[int, np.ndarray] = {}
     for v in reversed(order):
         vals = fields[v - 1].values.copy()
@@ -217,11 +280,13 @@ def _tree_factor(g: Graph, fields: Sequence[GridField],
             vals = vals * partial.pop(w)
         if v == root:
             return float(np.sum(vals)) * fields[0].h ** 2
-        fld = fields[v - 1].copy_with(vals)
         if use_fft:
-            partial[v] = fftconvolve(vals, k.raster(fld), mode="same")
+            # the parent's product vanishes off its own factor's support, so
+            # the average is needed only on that bounding box
+            window = _support_box(fields[parent[v] - 1].values)
+            partial[v] = _windowed_average(vals, kernel, window)
         else:
-            partial[v] = circular_average_nodesum(fld, k).values
+            partial[v] = circular_average_nodesum(fields[v - 1].copy_with(vals), k).values
     raise AssertionError("unreachable")
 
 
@@ -327,12 +392,6 @@ def _direct_triangle(g: Graph, fields: Sequence[GridField],
     return float(total)
 
 
-def _direct_chain(g: Graph, fields: Sequence[GridField],
-                  k: MollifiedCircleKernel) -> float:
-    """Node-sum evaluation of a 3-chain or edge: no FFT anywhere."""
-    return _tree_factor(g, fields, k, use_fft=False)
-
-
 def form_evaluate(g: Graph, fields: Sequence[GridField],
                   k: MollifiedCircleKernel, method: str = "auto",
                   mc_samples: int = 200_000, master_seed: int = 0,
@@ -375,7 +434,7 @@ def form_evaluate(g: Graph, fields: Sequence[GridField],
         if g.n == 1:
             return fields[0].integral()
         if is_tree(g):
-            return _direct_chain(g, fields, k)
+            return _tree_factor(g, fields, k, use_fft=False)
         return _direct_triangle(g, fields, k, **(direct_params or {}))
     if method == "leray-mc":
         from .rigidity import leray_mc_form

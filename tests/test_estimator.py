@@ -1,14 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import ndimage
 from scipy.special import j0
 
 from lpgraph.estimator import (
     RADON_PAIR_FACTOR,
     MethodError,
+    _windowed_average,
     bilinear_radon,
     bump,
     circular_average,
@@ -94,6 +99,124 @@ def test_fft_equals_node_sum():
     a1 = circular_average(f, k, allow_boundary=True).values
     a2 = circular_average_nodesum(f, k).values
     assert np.max(np.abs(a1 - a2)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# windowed FFT averaging
+
+
+def _same_span(lo, hi, kn, n):
+    """Output cells [start, stop) on one axis where the "same" convolution of
+    a support [lo, hi) with a kn-cell kernel can be nonzero."""
+    off = (kn - 1) // 2
+    return max(lo - off, 0), min(hi + kn - 1 - off, n)
+
+
+@st.composite
+def _windowed_case(draw):
+    kn = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    shape = tuple(draw(st.integers(k + 3, 24)) for k in kn)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kernel = rng.uniform(0.0, 1.0, kn)
+    support = draw(st.sampled_from(["empty", "cell", "edge", "constant", "box"]))
+    values = np.zeros(shape)
+    box = [(0, 0), (0, 0)]
+    if support == "constant":
+        values[:] = 1.0
+        box = [(0, n) for n in shape]
+    elif support != "empty":
+        for axis, n in enumerate(shape):
+            lo = draw(st.integers(0, n - 1))
+            hi = lo + 1 if support == "cell" else draw(st.integers(lo + 1, n))
+            box[axis] = (lo, hi)
+        if support == "edge":
+            axis = draw(st.integers(0, 1))
+            n, (lo, hi) = shape[axis], box[axis]
+            box[axis] = (0, hi) if draw(st.booleans()) else (lo, n)
+        (r0, r1), (c0, c1) = box
+        values[r0:r1, c0:c1] = rng.uniform(-1.0, 1.0, (r1 - r0, c1 - c0))
+    kind = draw(st.sampled_from(["full", "sub", "disjoint"]))
+    if kind == "full":
+        window = [(0, n) for n in shape]
+    elif kind == "sub":
+        window = []
+        for n in shape:
+            a = draw(st.integers(0, n - 1))
+            window.append((a, draw(st.integers(a + 1, n))))
+    else:
+        # a band on one axis that support + kernel cannot reach
+        window = [(0, n) for n in shape]
+        gaps = []
+        for axis, n in enumerate(shape):
+            a, b = _same_span(*box[axis], kn[axis], n)
+            gaps += [(axis, 0, a), (axis, b, n)]
+        gaps = [g for g in gaps if g[1] < g[2]]
+        if support != "empty":
+            assume(gaps)
+            axis, a, b = draw(st.sampled_from(gaps))
+            window[axis] = (a, b)
+    return values, kernel, window, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(_windowed_case())
+def test_windowed_average_matches_full_convolution(case):
+    from scipy.signal import fftconvolve
+
+    values, kernel, window, kind = case
+    got = _windowed_average(values, kernel, window)
+    want = fftconvolve(values, kernel, mode="same")
+    (r0, r1), (c0, c1) = window
+    inside = np.zeros(values.shape, dtype=bool)
+    inside[r0:r1, c0:c1] = True
+    tol = 1e-12 * np.max(np.abs(values)) * np.sum(np.abs(kernel))
+    assert got.shape == values.shape
+    assert np.max(np.abs(got - want)[inside]) <= tol
+    assert not got[~inside].any()
+    if kind == "disjoint":
+        assert not got.any()
+
+
+def test_tree_and_ratio_values_pinned():
+    # recorded with the full-size "same" convolution of scipy.signal, before
+    # the windowed average; row order is the descending parameter order
+    params = (0.125, 0.0625, 0.03125, 0.015625)
+    pinned = {
+        ("ball", "ball", "annulus"): (
+            0.0011230076053864548, 0.00014373623945331397,
+            1.590470188681722e-05, 1.7877590025617804e-06),
+        ("annulus", "annulus", "ball"): (
+            0.0206745453996241, 0.005142393940876511,
+            0.0012490212422828898, 0.0002690871518949879),
+        ("ball", "constant", "annulus"): (
+            0.029922980431290203, 0.007104534685965666,
+            0.001604813361314165, 0.00019357834581506522),
+    }
+    for assignment, want in pinned.items():
+        res = scaling_experiment(path3(), assignment, params, grid_points=257)
+        for row, w in zip(res.rows, want, strict=True):
+            assert abs(row.value - w) <= 1e-12 * w
+    rows = ratio_experiment(1.5, 3.0, "annulus", params, grid_points=257)
+    want_norms = ((0.8520614100611806, 0.27617328382100975),
+                  (0.5246370192134759, 0.1663242888352169),
+                  (0.3461113063054117, 0.1055335395168971),
+                  (0.21190985997761433, 0.05932294105566715))
+    for row, (n_in, n_out) in zip(rows, want_norms, strict=True):
+        assert abs(row.input_norm - n_in) <= 1e-12 * n_in
+        assert abs(row.output_norm - n_out) <= 1e-12 * n_out
+
+
+def test_import_skips_scipy_signal():
+    import lpgraph
+
+    src = str(Path(lpgraph.__file__).resolve().parents[1])
+    code = ("import sys, lpgraph.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_radon_second_factor_constant_reduces_to_average():
