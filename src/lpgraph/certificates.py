@@ -11,7 +11,11 @@ by composing three mechanisms over the graph structure:
 Derivations are plain JSON-ready dicts with exact rational strings, so a
 serialized certificate replays byte-for-byte.  `replay` re-verifies every
 budget equation, every profile step, every hull combination, and the final
-strict sum, using only rational arithmetic.
+strict sum, using only rational arithmetic.  It also checks that the
+derivation covers the certificate's own graph: `vertices` names each of the
+graph's vertices once, the tree, pendant and block edges of the derivation
+are the graph's edges with each used exactly once, and every block step
+claims the region that `block_region_for` assigns to its edges.
 """
 
 from __future__ import annotations
@@ -30,11 +34,12 @@ from .exponents import (
     sufficient_vertices,
 )
 from .graphs import (
-    BlockEntry,
     Graph,
+    bfs_tree,
     block_decomposition,
     contract_pendant_trees,
     is_tree,
+    relabel,
 )
 from .simplex import Row, solve_lp
 
@@ -44,6 +49,10 @@ ONE = Fraction(1)
 PROVEN = "proven"
 CONDITIONAL = "conditional"
 UNKNOWN = "unknown"
+
+# every certificate allocates budgets through the planar circle profile, and
+# replay checks them against the same one
+PROFILE = improving_profile_circle(2)
 
 # reopening an improving step at w == 1 is never needed: ties are broken by
 # re-solving with this margin and asserting the optimum is preserved
@@ -81,6 +90,11 @@ class Certificate:
     def witness_at(self, global_vertex: int) -> Fraction:
         return self.witness[self.vertices.index(global_vertex)]
 
+    def global_edges(self) -> list[tuple[int, int]]:
+        """The graph's edges under the global labels, each pair sorted."""
+        return [tuple(sorted((self.vertices[i - 1], self.vertices[j - 1])))
+                for i, j in self.graph.edges]
+
     def to_json_dict(self) -> dict:
         out = {
             "graph": self.graph.to_json_dict(),
@@ -112,19 +126,10 @@ class Certificate:
 
 def _rooted(g: Graph, root: int) -> dict[int, list[int]]:
     """children lists by BFS from root, each sorted ascending."""
-    adj = g.adjacency()
+    order, parent = bfs_tree(g, root)
     children: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in sorted(adj[v]):
-                if w not in seen:
-                    seen.add(w)
-                    children[v].append(w)
-                    nxt.append(w)
-        frontier = nxt
+    for v in order[1:]:
+        children[parent[v]].append(v)
     return children
 
 
@@ -244,10 +249,10 @@ def tree_budget_lp(g: Graph, root: int, budget: Fraction,
 
 
 def _tree_derivation(alloc: TreeAllocation, labels: Sequence[int],
-                     profile: ImprovingProfile, node: int | None = None) -> dict:
+                     node: int | None = None) -> dict:
     """Nested tree_recursion dict; vertices reported under global labels."""
     v = alloc.root if node is None else node
-    budget = alloc.budget if node is None else profile.value(alloc.w[v])
+    budget = alloc.budget if node is None else PROFILE.value(alloc.w[v])
     kids = alloc.children[v]
     entry = {
         "kind": "tree_recursion",
@@ -261,7 +266,7 @@ def _tree_derivation(alloc: TreeAllocation, labels: Sequence[int],
         "children": [],
     }
     for c in kids:
-        sub = _tree_derivation(alloc, labels, profile, node=c)
+        sub = _tree_derivation(alloc, labels, node=c)
         wc = alloc.w[c]
         if wc == ZERO:
             entry["children"].append({
@@ -272,26 +277,20 @@ def _tree_derivation(alloc: TreeAllocation, labels: Sequence[int],
                 "kind": "improving_step",
                 "child": labels[c - 1],
                 "w": format_rat(wc),
-                "v": format_rat(profile.value(wc)),
+                "v": format_rat(PROFILE.value(wc)),
                 "subtree": sub,
             })
     return entry
 
 
 def _tree_centroid(g: Graph) -> int:
-    adj = g.adjacency()
     best, best_score = 1, g.n + 1
     for r in range(1, g.n + 1):
-        children = _rooted(g, r)
-        sizes: dict[int, int] = {}
-
-        def size(v: int) -> int:
-            s = 1 + sum(size(c) for c in children[v])
-            sizes[v] = s
-            return s
-
-        size(r)
-        score = max((sizes[c] for c in children[r]), default=0)
+        order, parent = bfs_tree(g, r)
+        sizes = dict.fromkeys(order, 1)
+        for v in reversed(order[1:]):
+            sizes[parent[v]] += sizes[v]
+        score = max((sizes[c] for c in order[1:] if parent[c] == r), default=0)
         if score < best_score:
             best, best_score = r, score
     return best
@@ -300,8 +299,7 @@ def _tree_centroid(g: Graph) -> int:
 ROOT_ENUMERATION_LIMIT = 12
 
 
-def certify_tree(g: Graph, profile: ImprovingProfile | None = None,
-                 vertices: tuple[int, ...] | None = None) -> Certificate:
+def certify_tree(g: Graph) -> Certificate:
     """Prove an improving witness for a connected tree.
 
     Roots are enumerated for small trees (the optimum can depend on the
@@ -311,17 +309,9 @@ def certify_tree(g: Graph, profile: ImprovingProfile | None = None,
     g.require_connected()
     if not is_tree(g):
         raise CertificateError("certify_tree requires a tree")
-    profile = profile or improving_profile_circle(2)
-    labels = vertices or tuple(range(1, g.n + 1))
-
     if g.n == 1:
-        return Certificate(
-            graph=g, vertices=labels, status=UNKNOWN,
-            witness=ExponentVector((ZERO,)),
-            derivation=[],
-            assumptions=["single vertex: the form has no kernel factor, "
-                         "no better-than-baseline bound exists"],
-        )
+        return _unknown(g, ["single vertex: the form has no kernel factor, "
+                            "no better-than-baseline bound exists"])
 
     if g.n <= ROOT_ENUMERATION_LIMIT:
         roots = range(1, g.n + 1)
@@ -329,18 +319,26 @@ def certify_tree(g: Graph, profile: ImprovingProfile | None = None,
         roots = [_tree_centroid(g)]
     best: TreeAllocation | None = None
     for r in roots:
-        alloc = tree_budget_lp(g, r, ONE, profile, lex=False)
+        alloc = tree_budget_lp(g, r, ONE, PROFILE, lex=False)
         if best is None or alloc.total > best.total:
             best = alloc
     assert best is not None
-    alloc = tree_budget_lp(g, best.root, ONE, profile, lex=True)
+    alloc = tree_budget_lp(g, best.root, ONE, PROFILE, lex=True)
 
-    witness = ExponentVector(tuple(alloc.u[v] for v in range(1, g.n + 1)))
-    deriv = [_tree_derivation(alloc, labels, profile)]
+    labels = tuple(range(1, g.n + 1))
+    witness = ExponentVector(tuple(alloc.u[v] for v in labels))
+    deriv = [_tree_derivation(alloc, labels)]
     if witness.total <= 1:  # pragma: no cover - holds for every tree with an edge
         raise CertificateError("tree witness failed to beat the baseline")
     return Certificate(graph=g, vertices=labels, status=PROVEN,
                        witness=witness, derivation=deriv)
+
+
+def _unknown(g: Graph, assumptions: list[str]) -> Certificate:
+    """No proof: a zero witness on g, with the reasons as assumptions."""
+    return Certificate(graph=g, vertices=tuple(range(1, g.n + 1)), status=UNKNOWN,
+                       witness=ExponentVector((ZERO,) * g.n), derivation=[],
+                       assumptions=assumptions)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +380,6 @@ def _placement_lp(region: VertexPolytope, maximize_coords: Sequence[int],
     the coordinates listed in keep_positive without giving up optimality.
     """
     nv = len(region.vertices)
-    dim = region.dim
-    width = nv + 1  # hull weights + t
     rows: list[Row] = []
     rows.append(([ONE] * nv + [ZERO], "==", ONE))
     obj = [sum(v[i] for i in maximize_coords) for v in region.vertices] + [ZERO]
@@ -399,9 +395,7 @@ def _placement_lp(region: VertexPolytope, maximize_coords: Sequence[int],
         assert res2.optimal
         res = res2
     lam = res.x[:nv]
-    point = tuple(sum((lam[k] * region.vertices[k][i] for k in range(nv)), ZERO)
-                  for i in range(dim))
-    return point, lam
+    return _hull_point(region, lam), lam
 
 
 def _join_lp(regions: list[VertexPolytope], cut_locals: list[int],
@@ -494,8 +488,7 @@ def _join_lp(regions: list[VertexPolytope], cut_locals: list[int],
     out = []
     for j, region in enumerate(regions):
         lam = x[lam_off[j]:lam_off[j] + nvs[j]]
-        y = tuple(sum((lam[k] * region.vertices[k][i] for k in range(nvs[j])), ZERO)
-                  for i in range(region.dim))
+        y = _hull_point(region, lam)
         up = x[up_off + j]
         gain = sum((y[i] for i in range(region.dim) if i != cut_locals[j]), ZERO) - up
         out.append((up, y, lam, gain))
@@ -508,9 +501,15 @@ def _one_hot(width: int, idx: int) -> list[Fraction]:
     return row
 
 
+def _hull_point(poly: VertexPolytope, lam: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The convex combination sum_k lam_k v_k of the polytope's vertices."""
+    return tuple(sum((c * v[i] for c, v in zip(lam, poly.vertices)), ZERO)
+                 for i in range(poly.dim))
+
+
 def _block_vertex_step(block_globals: Sequence[int], region: BlockRegion,
                        point: Sequence[Fraction], lam: Sequence[Fraction],
-                       block_edges: Sequence[tuple[int, int]] = ()) -> dict:
+                       block_edges: Sequence[tuple[int, int]]) -> dict:
     return {
         "kind": "block_vertex",
         "block_vertices": list(block_globals),
@@ -519,6 +518,20 @@ def _block_vertex_step(block_globals: Sequence[int], region: BlockRegion,
         "universal": region.universal,
         "point": [format_rat(c) for c in point],
         "combination": [format_rat(c) for c in lam],
+    }
+
+
+def _join_step(cut: int, before: Fraction, up: Fraction, gain: Fraction,
+               block: dict) -> dict:
+    """A join at cut: its exponent `before` gives up `up` to the incoming block."""
+    return {
+        "kind": "join_step",
+        "cut": cut,
+        "u_cut_before": format_rat(before),
+        "u_prime": format_rat(up),
+        "u_cut_after": format_rat(before - up),
+        "gain": format_rat(gain),
+        "block": block,
     }
 
 
@@ -565,8 +578,7 @@ def certify_join(cut: int, cert_a: Certificate, cert_b: Certificate,
         if not res.optimal:
             raise CertificateError("no region point matches the prescribed split")
         lam = res.x
-        y = tuple(sum((lam[k] * region.polytope.vertices[k][i] for k in range(nv)), ZERO)
-                  for i in range(region.polytope.dim))
+        y = _hull_point(region.polytope, lam)
         gain = res.value - up
     if not (ZERO < up < ONE):
         raise CertificateError(f"join split {up} not strictly inside (0, 1)")
@@ -574,15 +586,7 @@ def certify_join(cut: int, cert_a: Certificate, cert_b: Certificate,
         raise CertificateError("join produced no strict gain")
 
     new_globals = tuple(sorted(set(cert_a.vertices) | set(cert_b.vertices)))
-    remap = {v: i + 1 for i, v in enumerate(new_globals)}
-    edges = set()
-    for (i, j) in cert_a.graph.edges:
-        edges.add(tuple(sorted((remap[cert_a.vertices[i - 1]],
-                                remap[cert_a.vertices[j - 1]]))))
-    for (i, j) in cert_b.graph.edges:
-        edges.add(tuple(sorted((remap[cert_b.vertices[i - 1]],
-                                remap[cert_b.vertices[j - 1]]))))
-    union_graph = Graph(len(new_globals), tuple(sorted(edges)))
+    union_graph, _ = relabel(new_globals, cert_a.global_edges() + cert_b.global_edges())
 
     wmap = {v: cert_a.witness_at(v) for v in cert_a.vertices}
     wmap[cut] = u_cut - up
@@ -598,22 +602,11 @@ def certify_join(cut: int, cert_a: Certificate, cert_b: Certificate,
     if region.universal == CONDITIONAL:
         assumptions.append(
             f"block {list(cert_b.vertices)}: {region.note}")
-    b_edges_global = tuple(
-        tuple(sorted((cert_b.vertices[i - 1], cert_b.vertices[j - 1])))
-        for i, j in cert_b.graph.edges)
-    join_step = {
-        "kind": "join_step",
-        "cut": cut,
-        "u_cut_before": format_rat(u_cut),
-        "u_prime": format_rat(up),
-        "u_cut_after": format_rat(u_cut - up),
-        "gain": format_rat(gain),
-        "block": _block_vertex_step(cert_b.vertices, region, y, lam, b_edges_global),
-    }
+    block = _block_vertex_step(cert_b.vertices, region, y, lam, cert_b.global_edges())
     derivation = [{
         "kind": "join_fold",
         "base": cert_a.derivation,
-        "joins": [join_step],
+        "joins": [_join_step(cut, u_cut, up, gain, block)],
     }]
     return Certificate(graph=union_graph, vertices=new_globals, status=status,
                        witness=witness, derivation=derivation,
@@ -640,32 +633,24 @@ def certify_contraction(g_prime: Graph, core_cert: Certificate) -> Certificate:
         raise CertificateError(
             f"core mismatch: expected core {sorted(core_cert.vertices)}, "
             f"found {list(dec.core_vertices)}")
-    core_local = {v: i for i, v in enumerate(core_cert.vertices)}
-    core_edges_global = {
-        tuple(sorted((core_cert.vertices[i - 1], core_cert.vertices[j - 1])))
-        for i, j in core_cert.graph.edges
-    }
-    if core_edges_global != set(dec.core_edges):
+    if set(core_cert.global_edges()) != set(dec.core_edges):
         raise CertificateError("core mismatch: edge sets differ")
     if not dec.pendant_trees:
         return core_cert
 
-    profile = improving_profile_circle(2)
     wmap = {v: core_cert.witness_at(v) for v in dec.core_vertices}
     pend_steps = []
     for tree in dec.pendant_trees:
         verts = tree.all_vertices()
-        remap = {v: i + 1 for i, v in enumerate(verts)}
-        tg = Graph(len(verts), tuple(
-            tuple(sorted((remap[i], remap[j]))) for i, j in tree.edges))
+        tg, remap = relabel(verts, tree.edges)
         budget = wmap[tree.root]
-        alloc = tree_budget_lp(tg, remap[tree.root], budget, profile, lex=True)
+        alloc = tree_budget_lp(tg, remap[tree.root], budget, PROFILE, lex=True)
         for v in verts:
             wmap[v] = alloc.u[remap[v]]
         pend_steps.append({
             "root": tree.root,
             "budget": format_rat(budget),
-            "tree": _tree_derivation(alloc, verts, profile),
+            "tree": _tree_derivation(alloc, verts),
         })
 
     witness = ExponentVector(tuple(wmap[v] for v in range(1, g_prime.n + 1)))
@@ -702,9 +687,8 @@ def certify(g: Graph, master_seed: int = 0, probe_seeds: int = 12) -> Certificat
     reported as status "unknown", never as an error.
     """
     g.require_connected()
-    profile = improving_profile_circle(2)
     if is_tree(g):
-        return certify_tree(g, profile)
+        return certify_tree(g)
 
     dec = contract_pendant_trees(g)
     core_graph, remap = dec.core_graph()
@@ -737,54 +721,42 @@ def certify(g: Graph, master_seed: int = 0, probe_seeds: int = 12) -> Certificat
         regions.append(region)
 
     if any(r is None for r in regions):
-        return Certificate(
-            graph=g, vertices=tuple(range(1, g.n + 1)), status=UNKNOWN,
-            witness=ExponentVector((ZERO,) * g.n),
-            derivation=[],
-            assumptions=notes + ["a block could not be certified"],
-        )
+        return _unknown(g, notes + ["a block could not be certified"])
 
-    # fold the block tree
+    # fold the block tree from its root, block 0
     cut_set = set(bd.cut_vertices)
     block_globals = [tuple(inv[v] for v in b.vertices) for b in bd.blocks]
-    root_bi = bd.root_index()
-    root_region = regions[root_bi]
-    root_block = bd.blocks[root_bi]
-    out_cuts_root = [i for i, v in enumerate(root_block.vertices) if v in cut_set]
-    point, lam = _placement_lp(root_region.polytope,
-                               list(range(len(root_block.vertices))),
-                               out_cuts_root)
     block_edges_global = [
         tuple(tuple(sorted((inv[i], inv[j]))) for i, j in b.edges)
         for b in bd.blocks
     ]
-    wmap: dict[int, Fraction] = {}
-    for i, v in enumerate(block_globals[root_bi]):
-        wmap[v] = point[i]
-    fold = {
-        "kind": "join_fold",
-        "base": [_block_vertex_step(block_globals[root_bi], root_region, point,
-                                    lam, block_edges_global[root_bi])],
-        "joins": [],
-    }
-    status = PROVEN if root_region.universal == PROVEN else CONDITIONAL
+    status = PROVEN
     assumptions: list[str] = []
-    if root_region.universal == CONDITIONAL:
-        assumptions.append(
-            f"block {list(block_globals[root_bi])}: {root_region.note}")
+
+    def block_step(bi: int, point, lam) -> dict:
+        nonlocal status
+        region = regions[bi]
+        if region.universal == CONDITIONAL:
+            status = CONDITIONAL
+            assumptions.append(f"block {list(block_globals[bi])}: {region.note}")
+        return _block_vertex_step(block_globals[bi], region, point, lam,
+                                  block_edges_global[bi])
+
+    root_block = bd.blocks[0]
+    out_cuts_root = [i for i, v in enumerate(root_block.vertices) if v in cut_set]
+    point, lam = _placement_lp(regions[0].polytope,
+                               list(range(len(root_block.vertices))),
+                               out_cuts_root)
+    wmap = dict(zip(block_globals[0], point))
+    fold = {"kind": "join_fold", "base": [block_step(0, point, lam)], "joins": []}
 
     # group BFS tree edges by cut vertex, preserving BFS order
     groups: dict[int, list[int]] = {}
-    order: list[int] = []
-    for (pi, cut_local_core, ci) in bd.block_tree:
-        if cut_local_core not in groups:
-            groups[cut_local_core] = []
-            order.append(cut_local_core)
-        groups[cut_local_core].append(ci)
+    for _, cut_core, ci in bd.block_tree:
+        groups.setdefault(cut_core, []).append(ci)
 
-    for cut_core in order:
+    for cut_core, kids in groups.items():
         cut_global = inv[cut_core]
-        kids = groups[cut_core]
         kid_regions = [regions[ci].polytope for ci in kids]
         kid_cut_locals = [bd.blocks[ci].vertices.index(cut_core) for ci in kids]
         kid_future = [
@@ -792,42 +764,21 @@ def certify(g: Graph, master_seed: int = 0, probe_seeds: int = 12) -> Certificat
              if v in cut_set and v != cut_core]
             for ci in kids
         ]
-        running = sum((wmap[v] for v in wmap), ZERO)
-        if running < 1 or wmap.get(cut_global, ZERO) <= ZERO:
-            return Certificate(
-                graph=g, vertices=tuple(range(1, g.n + 1)), status=UNKNOWN,
-                witness=ExponentVector((ZERO,) * g.n), derivation=[],
-                assumptions=notes + [
-                    f"no non-trivial estimate available at cut {cut_global}"],
-            )
+        if sum(wmap.values(), ZERO) < 1 or wmap.get(cut_global, ZERO) <= ZERO:
+            return _unknown(g, notes + [
+                f"no non-trivial estimate available at cut {cut_global}"])
         splits = _join_lp(kid_regions, kid_cut_locals, wmap[cut_global], kid_future)
         for ci, (up, y, lam_c, gain) in zip(kids, splits):
-            region = regions[ci]
             if not (ZERO < up < ONE) or gain <= ZERO:
-                return Certificate(
-                    graph=g, vertices=tuple(range(1, g.n + 1)), status=UNKNOWN,
-                    witness=ExponentVector((ZERO,) * g.n), derivation=[],
-                    assumptions=notes + [
-                        f"join at cut {cut_global} found no strict split"],
-                )
+                return _unknown(g, notes + [
+                    f"join at cut {cut_global} found no strict split"])
             before = wmap[cut_global]
             wmap[cut_global] = before - up
-            for i, v in enumerate(block_globals[ci]):
+            for v, yv in zip(block_globals[ci], y):
                 if v != cut_global:
-                    wmap[v] = y[i]
-            fold["joins"].append({
-                "kind": "join_step",
-                "cut": cut_global,
-                "u_cut_before": format_rat(before),
-                "u_prime": format_rat(up),
-                "u_cut_after": format_rat(before - up),
-                "gain": format_rat(gain),
-                "block": _block_vertex_step(block_globals[ci], region, y, lam_c,
-                                            block_edges_global[ci]),
-            })
-            if region.universal == CONDITIONAL:
-                status = CONDITIONAL
-                assumptions.append(f"block {list(block_globals[ci])}: {region.note}")
+                    wmap[v] = yv
+            fold["joins"].append(
+                _join_step(cut_global, before, up, gain, block_step(ci, y, lam_c)))
 
     core_witness = ExponentVector(tuple(wmap[inv[i]] for i in range(1, core_graph.n + 1)))
     core_cert = Certificate(
@@ -868,11 +819,16 @@ def replay(cert: Certificate | dict) -> ReplayResult:
     """Independently re-verify a certificate with exact arithmetic only."""
     obj = cert.to_json_dict() if isinstance(cert, Certificate) else cert
     try:
-        witness = {v: rat(x) for v, x in zip(obj["vertices"], obj["witness"])}
+        claimed = Certificate.from_json_dict(obj)
+        n = claimed.graph.n
+        if not (len(claimed.vertices) == len(set(claimed.vertices)) == n
+                and len(claimed.witness) == n):
+            raise _Fail(f"vertices and witness must name each of the {n} vertices once")
+        witness = dict(zip(claimed.vertices, claimed.witness))
         claimed_sum = rat(obj["sum"])
-        profile = improving_profile_circle(2)
 
         derived: dict[int, Fraction] = {}
+        edges_used: list[tuple[int, ...]] = []
         conditional_seen = False
 
         def check_tree(node: dict, budget: Fraction) -> None:
@@ -892,13 +848,14 @@ def replay(cert: Certificate | dict) -> ReplayResult:
                 child = step["child"]
                 if child not in kids:
                     raise _Fail(f"step for unknown child {child}")
+                edges_used.append(tuple(sorted((node["root"], child))))
                 w = kids[child]
                 if step["kind"] == "improving_step":
                     if not (ZERO < w < ONE):
                         raise _Fail(f"improving step at closed endpoint w={w}")
                     if rat(step["w"]) != w:
                         raise _Fail(f"split/step w mismatch at child {child}")
-                    if rat(step["v"]) != profile.value(w):
+                    if rat(step["v"]) != PROFILE.value(w):
                         raise _Fail(
                             f"profile mismatch: claimed v({w})={step['v']}")
                     check_tree(step["subtree"], rat(step["v"]))
@@ -915,19 +872,18 @@ def replay(cert: Certificate | dict) -> ReplayResult:
         def check_block(step: dict, forced_cut: tuple[int, Fraction] | None) -> None:
             nonlocal conditional_seen
             globals_ = list(step["block_vertices"])
-            point = [rat(c) for c in step["point"]]
+            point = tuple(rat(c) for c in step["point"])
             lam = [rat(c) for c in step["combination"]]
-            region = _region_from_kind(step["region"], globals_,
-                                       step.get("block_edges", []))
-            if step["universal"] == CONDITIONAL:
+            region = _region_from_kind(step)
+            edges_used.extend(tuple(sorted(e)) for e in step["block_edges"])
+            if region.universal == CONDITIONAL:
                 conditional_seen = True
-            if len(lam) != len(region.vertices):
+            if len(lam) != len(region.polytope.vertices):
                 raise _Fail("hull combination has wrong arity")
             if any(l < ZERO for l in lam) or sum(lam, ZERO) != ONE:
                 raise _Fail("hull combination is not convex")
-            for i in range(len(point)):
-                if sum((lam[k] * region.vertices[k][i] for k in range(len(lam))), ZERO) != point[i]:
-                    raise _Fail("hull combination does not reproduce the point")
+            if _hull_point(region.polytope, lam) != point:
+                raise _Fail("hull combination does not reproduce the point")
             if forced_cut is not None:
                 cut, val = forced_cut
                 if point[globals_.index(cut)] != val:
@@ -984,22 +940,24 @@ def replay(cert: Certificate | dict) -> ReplayResult:
                 else:
                     raise _Fail(f"unknown step kind {kind}")
 
-        if obj["status"] == UNKNOWN:
+        if claimed.status == UNKNOWN:
             return ReplayResult(True)
-        check_steps(obj["derivation"])
+        check_steps(claimed.derivation)
+        if sorted(edges_used) != sorted(claimed.global_edges()):
+            raise _Fail("derivation does not use each edge of the graph exactly once")
         for v, x in witness.items():
             if derived.get(v) != x:
                 raise _Fail(f"derivation does not reproduce witness at {v}")
         if sum(witness.values(), ZERO) != claimed_sum:
             raise _Fail("claimed sum differs from witness sum")
-        if obj["status"] == PROVEN:
+        if claimed.status == PROVEN:
             if claimed_sum <= 1:
                 raise _Fail("proven status requires sum strictly above 1")
-            if obj["assumptions"]:
+            if claimed.assumptions:
                 raise _Fail("proven status with recorded assumptions")
             if conditional_seen:
                 raise _Fail("proven status built on a conditional block")
-        if obj["status"] == CONDITIONAL and claimed_sum <= 1:
+        if claimed.status == CONDITIONAL and claimed_sum <= 1:
             raise _Fail("conditional status still requires sum above 1")
         return ReplayResult(True)
     except _Fail as f:
@@ -1020,19 +978,11 @@ def _collect_vertices(node: dict) -> list[int]:
     return out
 
 
-def _region_from_kind(kind: str, globals_: list[int],
-                      edges: list[list[int]]) -> VertexPolytope:
-    if kind == "edge_profile":
-        return VertexPolytope(
-            ((ONE, ZERO), (ZERO, ONE), (Fraction(2, 3), Fraction(2, 3))),
-            "edge profile triangle")
-    if kind == "triangle":
-        return sufficient_vertices("triangle")
-    if kind == "regular_hull":
-        if not edges:
-            raise _Fail("regular_hull replay requires block edges")
-        remap = {v: i + 1 for i, v in enumerate(globals_)}
-        bg = Graph(len(globals_), tuple(
-            tuple(sorted((remap[i], remap[j]))) for i, j in edges))
-        return sufficient_vertices("regular", bg)
-    raise _Fail(f"unknown region kind {kind}")
+def _region_from_kind(step: dict) -> BlockRegion:
+    """The region block_region_for gives a block step's edges; the step must
+    claim its kind and universality."""
+    region = block_region_for(relabel(step["block_vertices"], step["block_edges"])[0])
+    if (step["region"], step["universal"]) != (region.kind, region.universal):
+        raise _Fail(f"block {step['block_vertices']} has a {region.universal} "
+                    f"{region.kind} region, not {step['universal']} {step['region']}")
+    return region

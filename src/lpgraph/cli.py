@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import certificates, exponents, grids, rigidity
+from . import certificates, grids, rigidity
 from .estimator import (
     kernel_decay_check,
     make_kernel,
@@ -38,14 +38,12 @@ from .exponents import (
     region_compare,
     sufficient_vertices,
 )
-from .graphs import Graph, cycle, parse_graph
+from .graphs import Graph, parse_graph
 from .rigidity import (
     Realization,
     RealizationNotFound,
     degenerate_cycle_start,
-    numerical_rank,
     regularity_probe,
-    rigidity_jacobian,
     solve_realization,
 )
 

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import irfft2, next_fast_len, rfft2
 
-from .graphs import Graph, is_tree
+from .graphs import Graph, bfs_tree, is_tree
 from . import grids
 from .grids import GridField, MarginError, field_from_function, lp_norm
 
@@ -258,15 +258,10 @@ def _tree_factor(g: Graph, fields: Sequence[GridField],
     """Leaf-to-root nested averages; integrate against the root factor."""
     root = _tree_root(g)
     adj = g.adjacency()
-    order = [root]
-    parent = {root: 0}
+    order, parent = bfs_tree(g, root)
     depth = {root: 0}
-    for v in order:
-        for w in sorted(adj[v]):
-            if w not in parent:
-                parent[w] = v
-                depth[w] = depth[v] + 1
-                order.append(w)
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
 
     _guard_tree_margins(fields, depth, k.epsilon)
 

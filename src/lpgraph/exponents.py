@@ -8,12 +8,12 @@ an infinite exponent and 1 encoding exponent one.  Everything here is
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import Graph
-from .simplex import feasible_combination, solve_lp
+from .simplex import feasible_combination
 
 Rat = Fraction
 
@@ -72,10 +72,6 @@ class ExponentVector:
     @staticmethod
     def from_json(entries: Sequence[str]) -> "ExponentVector":
         return ExponentVector(tuple(rat(e) for e in entries))
-
-
-def exponent_vector(*entries) -> ExponentVector:
-    return ExponentVector(tuple(rat(e) for e in entries))
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +390,6 @@ def _polytope_vertices_from_rows(rows: list[tuple[list[Fraction], str, Fraction]
     Solves every dim-subset of tight constraints; keeps feasible solutions.
     Fine for the handful of constraints used here.
     """
-    import itertools as it
-
     def solve_square(mat, rhs):
         # Gaussian elimination over Fractions; None if singular
         k = len(mat)
@@ -418,7 +412,7 @@ def _polytope_vertices_from_rows(rows: list[tuple[list[Fraction], str, Fraction]
         return [a[r][k] for r in range(k)]
 
     sols = set()
-    for combo in it.combinations(range(len(rows)), dim):
+    for combo in itertools.combinations(range(len(rows)), dim):
         mat = [list(rows[i][0]) for i in combo]
         rhs = [rows[i][2] for i in combo]
         sol = solve_square(mat, rhs)

@@ -8,7 +8,7 @@ block/cut-vertex decomposition.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import networkx as nx
@@ -67,41 +67,15 @@ class Graph:
             adj[j].append(i)
         return adj
 
-    def degree(self, v: int) -> int:
-        return sum(1 for i, j in self.edges if v in (i, j))
-
     def is_connected(self) -> bool:
-        return not self._missing_component()
-
-    def _missing_component(self) -> tuple[int, ...]:
-        """BFS from vertex 1; returns the unreached component (empty if none)."""
-        adj = self.adjacency()
-        seen = {1}
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) == self.n:
-            return ()
-        rest = sorted(set(range(1, self.n + 1)) - seen)
-        # report the whole component containing the smallest unreached vertex
-        comp = {rest[0]}
-        stack = [rest[0]]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        return tuple(sorted(comp))
+        try:
+            bfs_tree(self, 1)
+        except DisconnectedGraphError:
+            return False
+        return True
 
     def require_connected(self) -> "Graph":
-        comp = self._missing_component()
-        if comp:
-            raise DisconnectedGraphError(comp)
+        bfs_tree(self, 1)
         return self
 
     def to_networkx(self) -> nx.Graph:
@@ -112,6 +86,38 @@ class Graph:
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
+
+
+def _bfs(adj: dict[int, list[int]], root: int) -> tuple[list[int], dict[int, int]]:
+    order, parent = [root], {}
+    for v in order:
+        for w in adj[v]:
+            if w != root and w not in parent:
+                parent[w] = v
+                order.append(w)
+    return order, parent
+
+
+def bfs_tree(g: Graph, root: int) -> tuple[list[int], dict[int, int]]:
+    """Breadth-first search from root, neighbours taken in ascending order.
+
+    Returns the visiting order and the parent of every other vertex.  An
+    unreachable vertex raises DisconnectedGraphError carrying the component
+    of the smallest one.
+    """
+    adj = g.adjacency()
+    order, parent = _bfs(adj, root)
+    if len(order) < g.n:
+        first = min(set(adj).difference(order))
+        raise DisconnectedGraphError(_bfs(adj, first)[0])
+    return order, parent
+
+
+def relabel(vertices: Sequence[int], edges: Iterable[Edge]) -> tuple[Graph, dict[int, int]]:
+    """The graph on `vertices` renamed 1..k in their order; returns (graph,
+    original->relabeled)."""
+    remap = {v: i + 1 for i, v in enumerate(vertices)}
+    return Graph(len(vertices), tuple((remap[i], remap[j]) for i, j in edges)), remap
 
 
 def parse_graph(text: str) -> Graph:
@@ -197,9 +203,7 @@ class ContractionDecomposition:
         """Relabel the core to 1..k; returns (graph, original->relabeled)."""
         if not self.core_vertices:
             raise ValueError("core is empty (graph is a tree)")
-        remap = {v: i + 1 for i, v in enumerate(self.core_vertices)}
-        edges = tuple((remap[i], remap[j]) for i, j in self.core_edges)
-        return Graph(len(self.core_vertices), edges), remap
+        return relabel(self.core_vertices, self.core_edges)
 
 
 def contract_pendant_trees(g: Graph) -> ContractionDecomposition:
@@ -284,10 +288,7 @@ class BlockEntry:
     edges: tuple[Edge, ...]
 
     def graph(self) -> tuple[Graph, dict[int, int]]:
-        remap = {v: i + 1 for i, v in enumerate(self.vertices)}
-        return Graph(len(self.vertices), tuple(
-            tuple(sorted((remap[i], remap[j]))) for i, j in self.edges
-        )), remap
+        return relabel(self.vertices, self.edges)
 
     def is_single_edge(self) -> bool:
         return len(self.edges) == 1
@@ -309,9 +310,6 @@ class BlockDecomposition:
     blocks: tuple[BlockEntry, ...]
     cut_vertices: tuple[int, ...]
     block_tree: tuple[tuple[int, int, int], ...]
-
-    def root_index(self) -> int:
-        return 0
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:

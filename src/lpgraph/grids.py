@@ -10,7 +10,7 @@ cubic spline shifts are used where smooth inputs need the extra order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

@@ -9,13 +9,13 @@ is phrased as a statement about the samples drawn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .graphs import Graph
+from .graphs import Graph, bfs_tree
 
 RESIDUAL_TOL = 1e-10
 RANK_TOL_SHIFT = 2.0 ** -40
@@ -288,24 +288,8 @@ def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
         return LerayEstimate(value=0.0, std_error=0.0, epsilon=epsilon,
                              samples=samples, shell_hits=0)
 
-    adj = g.adjacency()
-    parent: dict[int, tuple[int, tuple[int, int]]] = {}
-    order = [1]
-    seen = {1}
-    frontier = [1]
-    tree_edges = set()
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in sorted(adj[v]):
-                if w not in seen:
-                    seen.add(w)
-                    e = tuple(sorted((v, w)))
-                    parent[w] = (v, e)
-                    tree_edges.add(e)
-                    order.append(w)
-                    nxt.append(w)
-        frontier = nxt
+    order, parent = bfs_tree(g, 1)
+    tree_edges = {(min(v, w), max(v, w)) for v, w in parent.items()}
     non_tree = [e for e in g.edges if e not in tree_edges]
 
     f1 = functions[0]
@@ -333,7 +317,7 @@ def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
         pts[:, 0, 1] = -f1.L + jj * f1.h + (rng.random(m) - 0.5) * f1.h
         w = np.sign(flat[idx]) * mass1
         for v in order[1:]:
-            pv, _ = parent[v]
+            pv = parent[v]
             r = rng.uniform(1.0 - epsilon, 1.0 + epsilon, m)
             # stratified angles (random stratum pairing) cut the variance of
             # the angular hit windows without biasing the mean

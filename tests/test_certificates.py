@@ -335,6 +335,75 @@ def test_replay_rejects_malformed_field(field, value):
     assert res.failure.startswith("malformed certificate")
 
 
+# ---------------------------------------------------------------------------
+# replay soundness: a derivation must cover the graph its certificate names
+
+
+def test_replay_rejects_path_certificate_relabelled_as_k4():
+    cert = certify(Graph(4, ((1, 2), (2, 3), (3, 4)))).to_json_dict()
+    k4 = Graph(4, tuple(itertools.combinations(range(1, 5), 2)))
+    res = replay(dict(cert, graph=k4.to_json_dict()))
+    assert not res.ok
+    assert "each edge" in res.failure
+
+
+def test_replay_rejects_triangle_certificate_relabelled_as_path():
+    cert = certify(triangle()).to_json_dict()
+    res = replay(dict(cert, graph=Graph(3, ((1, 2), (2, 3))).to_json_dict()))
+    assert not res.ok
+    assert "each edge" in res.failure
+
+
+def _edge_block(vertices, edges):
+    return {"kind": "block_vertex", "block_vertices": vertices,
+            "block_edges": edges, "region": "edge_profile",
+            "universal": "proven", "point": ["2/3", "2/3"],
+            "combination": ["0", "0", "1"]}
+
+
+def test_replay_rejects_four_cycle_block_claimed_as_edge():
+    # all of C4 in one block claimed as an edge: its two-coordinate point
+    # covers vertices 1 and 2, and two edgeless joins reach 3 and 4, so
+    # every edge is used once and only the region claim is false
+    c4 = cycle(4)
+    joins = [{"kind": "join_step", "cut": cut, "u_cut_before": "2/3",
+              "u_prime": "1/3", "u_cut_after": "1/3", "gain": "1/3",
+              "block": _edge_block([cut, cut + 1], [])} for cut in (2, 3)]
+    forged = {
+        "graph": c4.to_json_dict(), "vertices": [1, 2, 3, 4],
+        "status": "proven", "witness": ["2/3", "1/3", "1/3", "2/3"],
+        "sum": "2", "assumptions": [],
+        "derivation": [{
+            "kind": "join_fold",
+            "base": [_edge_block([1, 2, 3, 4], [list(e) for e in c4.edges])],
+            "joins": joins,
+        }],
+    }
+    res = replay(forged)
+    assert not res.ok
+    assert "regular_hull" in res.failure
+
+
+def test_replay_rejects_four_cycle_claimed_proven():
+    cert = certify(cycle(4)).to_json_dict()
+    assert cert["status"] == "conditional"
+    forged = copy.deepcopy(cert)
+    forged.update(status="proven", assumptions=[])
+    forged["derivation"][0]["base"][0]["universal"] = "proven"
+    res = replay(forged)
+    assert not res.ok
+    assert "conditional regular_hull" in res.failure
+
+
+def test_replay_rejects_graph_with_an_unlabelled_vertex():
+    # the path-4 derivation covers every edge of this graph, but vertex 5
+    # has no label and no witness entry
+    cert = certify(Graph(4, ((1, 2), (2, 3), (3, 4)))).to_json_dict()
+    res = replay(dict(cert, graph={"n": 5, "edges": [[1, 2], [2, 3], [3, 4]]}))
+    assert not res.ok
+    assert "once" in res.failure
+
+
 def test_certificate_json_roundtrip():
     cert = certify(triangle_with_pendant_tree())
     obj = cert.to_json_dict()
@@ -418,12 +487,43 @@ GOLDEN_DIGESTS = {
         "622da449d95ac453afdc0afd33683b4a90b2b097ad4e61800ded3854aa114bcf",
     "1-2 1-3 1-4 1-5 1-6 1-7":
         "b2ab3e7324c357c046255b336bc347fb00b818fca7bce3c38a1c23722987560c",
+    "tree n=13":
+        "00cb8d69d294cc6e9f8f1f594414e41fcdc396928b2d26eba68510f3c6c92dd9",
+    "tree n=16":
+        "33a66ca14af1d58bd2f807f5f27ae3d3f635536c2ffeafc6b69408fedcd9b9ad",
+    "cactus three triangles":
+        "3a8c6bfeecb28d6eb75da182755ca38601b009395783b65f9674945e6e0ff74d",
+    "cactus four-cycle and triangle":
+        "4f56eebe8a9de749b698888514c2a4e78d750cc0f8dae46bd6b50ecab9060503",
+    "k4":
+        "b245223751777c6a3d9c6b8e774c354a831d6ff4dcc4fb4f200e1564db16c389",
+}
+
+
+# seeded random trees above ROOT_ENUMERATION_LIMIT, which take the centroid
+# root; cactus graphs with pendant trees; and K4, which has no unit
+# realization, so its certificate is unknown
+LARGER_CASES = {
+    "tree n=13": Graph(13, (
+        (1, 5), (2, 5), (3, 4), (3, 8), (3, 11), (4, 10), (4, 13), (5, 11),
+        (6, 11), (7, 13), (9, 11), (11, 12))),
+    "tree n=16": Graph(16, (
+        (1, 8), (1, 10), (1, 12), (2, 12), (3, 16), (4, 16), (5, 10), (6, 14),
+        (7, 8), (8, 9), (8, 15), (9, 14), (10, 16), (11, 15), (13, 14))),
+    "cactus three triangles": Graph(10, (
+        (1, 2), (1, 3), (1, 10), (2, 3), (2, 9), (3, 4), (3, 5), (4, 5), (4, 6),
+        (4, 7), (6, 7), (6, 8))),
+    "cactus four-cycle and triangle": Graph(9, (
+        (1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (3, 4), (4, 8), (5, 6), (6, 7),
+        (8, 9))),
+    "k4": Graph(4, tuple(itertools.combinations(range(1, 5), 2))),
 }
 
 
 def _golden_cases():
     for path in sorted(GRAPHS.glob("*.graph")):
         yield path.name, parse_graph(path.read_text())
+    yield from LARGER_CASES.items()
     for n in range(2, 8):
         for T in nx.nonisomorphic_trees(n):
             edges = tuple(sorted(tuple(sorted((u + 1, v + 1)))

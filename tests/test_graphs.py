@@ -5,6 +5,7 @@ from lpgraph.graphs import (
     DisconnectedGraphError,
     Graph,
     GraphFormatError,
+    bfs_tree,
     block_decomposition,
     contract_pendant_trees,
     cycle,
@@ -180,6 +181,37 @@ def connected_graphs(draw, n_min=2, n_max=7):
     return Graph(n, tuple(edges))
 
 
+@st.composite
+def any_graphs(draw, n_max=9):
+    """Graphs on 1..n with any edge subset, so often disconnected."""
+    import itertools
+
+    n = draw(st.integers(1, n_max))
+    pool = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+    return Graph(n, tuple(edges))
+
+
+@given(st.one_of(connected_graphs(), any_graphs()), st.data())
+@settings(max_examples=300, deadline=None)
+def test_bfs_tree_matches_networkx(g, data):
+    import networkx as nx
+
+    root = data.draw(st.integers(1, g.n))
+    nxg = g.to_networkx()
+    reached = nx.node_connected_component(nxg, root)
+    if len(reached) < g.n:
+        with pytest.raises(DisconnectedGraphError) as err:
+            bfs_tree(g, root)
+        first = min(set(nxg) - reached)
+        assert err.value.component == tuple(sorted(nx.node_connected_component(nxg, first)))
+        return
+    order, parent = bfs_tree(g, root)
+    edges = list(nx.bfs_edges(nxg, root, sort_neighbors=sorted))
+    assert order == [root] + [c for _, c in edges]
+    assert parent == {c: p for p, c in edges}
+
+
 @given(connected_graphs())
 @settings(max_examples=120, deadline=None)
 def test_contraction_partitions_edges(g):
@@ -198,7 +230,7 @@ def test_contraction_partitions_edges(g):
     # idempotence: the core has no degree-one vertex
     if dec.core_vertices:
         core, _ = dec.core_graph()
-        assert all(core.degree(v) >= 2 for v in range(1, core.n + 1))
+        assert all(len(ws) >= 2 for ws in core.adjacency().values())
         assert contract_pendant_trees(core).core_vertices == tuple(
             range(1, core.n + 1))
 
