@@ -26,7 +26,6 @@ from typing import Sequence
 
 from .exponents import (
     ExponentVector,
-    ImprovingProfile,
     VertexPolytope,
     format_rat,
     improving_profile_circle,
@@ -143,14 +142,14 @@ class TreeAllocation:
     children: dict[int, list[int]]
 
 
-def tree_budget_lp(g: Graph, root: int, budget: Fraction,
-                   profile: ImprovingProfile, lex: bool = True) -> TreeAllocation:
+def tree_budget_lp(g: Graph, root: int, budget: Fraction) -> TreeAllocation:
     """Maximize the witness sum of a rooted tree under an output budget.
 
     Exact LP: each node splits its budget between its own Hoelder factor and
-    its child edges; each edge upgrades its budget through the profile.
-    After solving (and optional lexicographic refinement of the witness) the
-    profile inequalities are re-tightened so every recorded step is exact.
+    its child edges; each edge upgrades its budget through `PROFILE`.  The
+    optimal witness is refined lexicographically (u_1 first, then u_2, ...),
+    and the profile inequalities are then re-tightened so every recorded
+    step is exact.
     """
     if not is_tree(g):
         raise CertificateError("tree LP requires a tree")
@@ -187,7 +186,7 @@ def tree_budget_lp(g: Graph, root: int, budget: Fraction,
         rows.append((row, "==", ZERO))
     # profile envelope: b_v <= m * w_v + q for every segment
     for v in non_root:
-        for m, q in profile.segments():
+        for m, q in PROFILE.segments():
             row = [ZERO] * width
             row[b_idx[v]] = ONE
             row[w_idx[v]] = -m
@@ -205,14 +204,12 @@ def tree_budget_lp(g: Graph, root: int, budget: Fraction,
         raise CertificateError(f"tree LP failed: {res.status}")
     total = res.value
 
-    if lex:
-        pinned: list[Row] = list(rows)
-        pinned.append((list(objective), "==", total))
-        for v in range(1, g.n + 1):
-            r = solve_lp(unit(v - 1), pinned, maximize=True)
-            assert r.optimal
-            pinned.append((unit(v - 1), "==", r.value))
-            res = r
+    pinned: list[Row] = list(rows)
+    pinned.append((list(objective), "==", total))
+    for v in range(1, g.n + 1):
+        res = solve_lp(unit(v - 1), pinned, maximize=True)
+        assert res.optimal
+        pinned.append((unit(v - 1), "==", res.value))
 
     x = res.x
     w = {v: x[w_idx[v]] for v in non_root}
@@ -233,7 +230,7 @@ def tree_budget_lp(g: Graph, root: int, budget: Fraction,
     u: dict[int, Fraction] = {}
     b: dict[int, Fraction] = {}
     for v in non_root:
-        b[v] = profile.value(w[v])
+        b[v] = PROFILE.value(w[v])
     for v in non_root:
         u[v] = b[v] - sum((w[c] for c in children[v]), ZERO)
     u[root] = budget - sum((w[c] for c in children[root]), ZERO)
@@ -283,28 +280,11 @@ def _tree_derivation(alloc: TreeAllocation, labels: Sequence[int],
     return entry
 
 
-def _tree_centroid(g: Graph) -> int:
-    best, best_score = 1, g.n + 1
-    for r in range(1, g.n + 1):
-        order, parent = bfs_tree(g, r)
-        sizes = dict.fromkeys(order, 1)
-        for v in reversed(order[1:]):
-            sizes[parent[v]] += sizes[v]
-        score = max((sizes[c] for c in order[1:] if parent[c] == r), default=0)
-        if score < best_score:
-            best, best_score = r, score
-    return best
-
-
-ROOT_ENUMERATION_LIMIT = 12
-
-
 def certify_tree(g: Graph) -> Certificate:
     """Prove an improving witness for a connected tree.
 
-    Roots are enumerated for small trees (the optimum can depend on the
-    root); larger trees use the centroid.  The witness maximizes the sum,
-    ties broken lexicographically.
+    The tree is rooted at vertex 1: the optimal sum does not depend on the
+    root.  The witness maximizes the sum, ties broken lexicographically.
     """
     g.require_connected()
     if not is_tree(g):
@@ -313,18 +293,7 @@ def certify_tree(g: Graph) -> Certificate:
         return _unknown(g, ["single vertex: the form has no kernel factor, "
                             "no better-than-baseline bound exists"])
 
-    if g.n <= ROOT_ENUMERATION_LIMIT:
-        roots = range(1, g.n + 1)
-    else:
-        roots = [_tree_centroid(g)]
-    best: TreeAllocation | None = None
-    for r in roots:
-        alloc = tree_budget_lp(g, r, ONE, PROFILE, lex=False)
-        if best is None or alloc.total > best.total:
-            best = alloc
-    assert best is not None
-    alloc = tree_budget_lp(g, best.root, ONE, PROFILE, lex=True)
-
+    alloc = tree_budget_lp(g, 1, ONE)
     labels = tuple(range(1, g.n + 1))
     witness = ExponentVector(tuple(alloc.u[v] for v in labels))
     deriv = [_tree_derivation(alloc, labels)]
@@ -644,7 +613,7 @@ def certify_contraction(g_prime: Graph, core_cert: Certificate) -> Certificate:
         verts = tree.all_vertices()
         tg, remap = relabel(verts, tree.edges)
         budget = wmap[tree.root]
-        alloc = tree_budget_lp(tg, remap[tree.root], budget, PROFILE, lex=True)
+        alloc = tree_budget_lp(tg, remap[tree.root], budget)
         for v in verts:
             wmap[v] = alloc.u[remap[v]]
         pend_steps.append({

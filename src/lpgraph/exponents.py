@@ -58,14 +58,6 @@ class ExponentVector:
     def total(self) -> Fraction:
         return sum(self.entries, ZERO)
 
-    def is_improving(self) -> bool:
-        """Strictly better than the scaling baseline: sum > 1."""
-        return self.total > 1
-
-    def has_nontrivial_estimate_at(self, vertex: int) -> bool:
-        """Sum >= 1 with a finite exponent (u > 0) at the 1-indexed vertex."""
-        return self.total >= 1 and self.entries[vertex - 1] > 0
-
     def to_json(self) -> list[str]:
         return [format_rat(e) for e in self.entries]
 
@@ -126,18 +118,6 @@ class ImprovingProfile:
             m = (v1 - v0) / (u1 - u0)
             out.append((m, v0 - m * u0))
         return out
-
-    def inverse_min(self, b) -> Fraction:
-        """Smallest u with v(u) == b (v is nondecreasing)."""
-        b = rat(b)
-        if not (ZERO <= b <= ONE):
-            raise ValueError(f"target {b} outside [0, 1]")
-        for (u0, v0), (u1, v1) in zip(self.breakpoints, self.breakpoints[1:]):
-            if v0 <= b <= v1 and v1 > v0:
-                return u0 + (u1 - u0) * (b - v0) / (v1 - v0)
-            if b == v0:
-                return u0
-        return self.breakpoints[-1][0]
 
 
 def improving_profile_circle(d: int) -> ImprovingProfile:

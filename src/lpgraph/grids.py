@@ -50,9 +50,6 @@ class GridField:
     def size(self) -> int:
         return 2 * self.m + 1
 
-    def axis(self) -> np.ndarray:
-        return np.linspace(-self.L, self.L, self.size)
-
     def copy_with(self, values: np.ndarray, boundary_free: bool = False) -> "GridField":
         return GridField(self.L, self.h, values, boundary_free)
 

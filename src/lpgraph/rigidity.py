@@ -99,14 +99,18 @@ def numerical_rank(J: np.ndarray) -> tuple[int, np.ndarray, float]:
 def pin_to_M0(x: Realization) -> Realization:
     """Rigid motion taking x1 to the origin and x2 onto the positive x-axis.
 
-    Orientation preserving: translation plus rotation, never a reflection.
+    Non-adjacent vertices may share a point: when x2 == x1, the first point
+    distinct from x1 goes onto the axis instead.  Orientation preserving:
+    translation plus rotation, never a reflection.
     """
     p = x.points.copy()
-    d = p[1] - p[0]
-    norm = np.hypot(d[0], d[1])
-    if norm == 0.0:
-        raise ValueError("first two points coincide; cannot pin")
-    c, s = d[0] / norm, d[1] / norm
+    d = p[1:] - p[0]
+    norms = np.hypot(d[:, 0], d[:, 1])
+    apart = np.flatnonzero(norms)
+    if apart.size == 0:
+        raise ValueError("all points coincide; cannot pin")
+    k = apart[0]
+    c, s = d[k] / norms[k]
     rot = np.array([[c, s], [-s, c]])
     return Realization((p - p[0]) @ rot.T)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpgraph.certificates import (
     Certificate,
@@ -80,7 +81,7 @@ def _oracle_tree_max(g, root, budget=F(1), denom=24):
     (single_edge(), F(4, 3)),
 ])
 def test_tree_lp_against_brute_force(g, expected):
-    alloc = tree_budget_lp(g, root=g.n, budget=F(1), profile=PROFILE)
+    alloc = tree_budget_lp(g, root=g.n, budget=F(1))
     # the oracle lattice contains the true optimizers (thirds)
     assert alloc.total == expected
     assert _oracle_tree_max(g, root=g.n) == expected
@@ -130,6 +131,37 @@ def test_monotone_in_leaves():
 def test_single_vertex_is_unknown():
     cert = certify_tree(Graph(1, ()))
     assert cert.status == "unknown"
+
+
+@st.composite
+def rooted_trees(draw):
+    n = draw(st.integers(2, 12))
+    pruefer = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    edges = (tuple(sorted((u + 1, v + 1)))
+             for u, v in nx.from_prufer_sequence(pruefer).edges())
+    return Graph(n, tuple(sorted(edges))), draw(st.integers(1, n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rooted_trees())
+def test_tree_optimum_is_root_independent(tree_and_root):
+    # certify_tree roots every tree at vertex 1; that is sound only because
+    # the optimal witness sum does not depend on the root
+    g, r = tree_and_root
+    assert tree_budget_lp(g, r, F(1)).total == tree_budget_lp(g, 1, F(1)).total
+
+
+@pytest.mark.parametrize("key,total,witness", [
+    ("tree n=13", F(13, 3), "2/3 2/3 0 0 0 2/3 2/3 2/3 0 2/3 0 0 1/3"),
+    ("tree n=16", F(17, 3), "0 2/3 2/3 2/3 2/3 2/3 2/3 0 0 0 2/3 1/3 2/3 0 0 0"),
+])
+def test_larger_tree_witnesses_are_pinned(key, total, witness):
+    # rooting at vertex 1 or at the centroid (vertex 11 of the n = 13 tree)
+    # gives these same witnesses
+    cert = certify(LARGER_CASES[key])
+    assert cert.status == "proven"
+    assert cert.total == total
+    assert cert.witness.entries == tuple(F(w) for w in witness.split())
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +520,7 @@ GOLDEN_DIGESTS = {
     "1-2 1-3 1-4 1-5 1-6 1-7":
         "b2ab3e7324c357c046255b336bc347fb00b818fca7bce3c38a1c23722987560c",
     "tree n=13":
-        "00cb8d69d294cc6e9f8f1f594414e41fcdc396928b2d26eba68510f3c6c92dd9",
+        "c0f2b118a781b11e25c9713611dcaf391b96facdae2d8ca81cd81ceb5ca43e24",
     "tree n=16":
         "33a66ca14af1d58bd2f807f5f27ae3d3f635536c2ffeafc6b69408fedcd9b9ad",
     "cactus three triangles":
@@ -500,8 +532,8 @@ GOLDEN_DIGESTS = {
 }
 
 
-# seeded random trees above ROOT_ENUMERATION_LIMIT, which take the centroid
-# root; cactus graphs with pendant trees; and K4, which has no unit
+# seeded random trees with 13 and 16 vertices, rooted at vertex 1 like every
+# tree; cactus graphs with pendant trees; and K4, which has no unit
 # realization, so its certificate is unknown
 LARGER_CASES = {
     "tree n=13": Graph(13, (

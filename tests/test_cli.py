@@ -43,6 +43,20 @@ def test_certify_unknown_is_exit_zero(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["result"]["status"] == "unknown"
 
 
+def test_certify_when_vertices_1_and_2_coincide(tmp_path):
+    # least squares places the non-adjacent vertices 1 and 2 on one point of
+    # a unit realization of this graph; the probe must still pin it
+    edges = "1-3 1-4 1-7 2-3 2-4 2-5 2-6 3-6 3-7 4-5"
+    graph = tmp_path / "g.graph"
+    graph.write_text("n 7\n" + "".join(f"e {e.replace('-', ' ')}\n"
+                                          for e in edges.split()))
+    code, out = run(["certify", str(graph), "--verify"], tmp_path)
+    assert code == 0
+    res = json.loads(out.read_text())["result"]
+    assert res["status"] == "conditional"
+    assert res["replay"]["ok"] is True
+
+
 def test_analyze_pendant_figure(tmp_path):
     code, out = run(["analyze", str(GRAPHS / "triangle_pendant.graph"),
                      "--probe-seeds", "0"], tmp_path)

@@ -50,12 +50,6 @@ def test_profile_concavity_and_domination(a, b, c):
         assert p.value(u2) >= chord
 
 
-def test_profile_inverse():
-    p = improving_profile_circle(2)
-    for b in (F(0), F(1, 3), F(2, 3), F(5, 6), F(1)):
-        assert p.value(p.inverse_min(b)) == b
-
-
 def test_necessary_rows_d2():
     tri = necessary_halfspaces("triangle", 2)
     row5 = tri.rows[4]
@@ -172,15 +166,6 @@ def test_missing_endpoints_sit_on_necessary_boundary():
     a, b = chain3_missing_endpoints()
     mid = tuple((x + y) / 2 for x, y in zip(a, b))
     assert mid == (F(2, 3), F(2, 3), F(1, 3))
-
-
-def test_exponent_vector_predicates():
-    v = ExponentVector((F(2, 3), F(2, 3), F(1, 3)))
-    assert v.is_improving()
-    w = ExponentVector((F(1, 2), F(1, 2), F(0)))
-    assert not w.is_improving()
-    assert w.has_nontrivial_estimate_at(1)
-    assert not w.has_nontrivial_estimate_at(3)  # infinite exponent there
 
 
 def test_exponent_vector_range_check():

@@ -104,6 +104,17 @@ def test_pin_identity_when_already_pinned():
     np.testing.assert_allclose(p.points, EQUILATERAL.points, atol=1e-15)
 
 
+def test_pin_when_first_two_points_coincide():
+    # non-adjacent vertices 1 and 2 may share a point in a unit realization;
+    # the first point distinct from x1 then goes onto the positive x-axis
+    pts = np.array([[2.0, 1.0], [2.0, 1.0], [2.0, 1.0], [2.0, 3.0], [3.0, 1.0]])
+    p = pin_to_M0(Realization(pts))
+    np.testing.assert_allclose(p.points, [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                          [2.0, 0.0], [0.0, -1.0]], atol=1e-12)
+    with pytest.raises(ValueError, match="all points coincide"):
+        pin_to_M0(Realization(np.ones((3, 2))))
+
+
 def test_solve_triangle():
     x = solve_realization(triangle(), seed=3)
     assert x.residual(triangle()) < 1e-10
