@@ -934,6 +934,10 @@ def replay(cert: Certificate | dict) -> ReplayResult:
     except (KeyError, ValueError, ZeroDivisionError, TypeError, AttributeError,
             IndexError) as exc:
         return ReplayResult(False, f"malformed certificate: {exc}")
+    finally:
+        # the nested checkers reach each other through closure cells; unbind
+        # them so the cycle and the exponents it holds are freed at once
+        check_tree = check_block = check_steps = None
 
 
 class _Fail(Exception):

@@ -10,6 +10,7 @@ is a valid answer), 1 usage error, 2 computation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -227,28 +228,21 @@ def cmd_polytope(args) -> int:
         x = tuple(rat(c) for c in args.check)
         checks: dict = {"point": [format_rat(c) for c in x]}
         if args.kind in ("triangle", "chain3"):
-            ok, violated, tight = halfspace_membership(
-                necessary_halfspaces(args.kind, args.d), x)
+            ok, violated, tight = halfspace_membership(nec, x)
             checks["necessary"] = {"satisfied": ok, "violated": violated,
                                    "tight": tight}
-            inside, wit = hull_membership(sufficient_vertices(args.kind), x)
-            checks["sufficient"] = {
-                "inside": inside,
-                "witness": [format_rat(c) for c in wit] if wit else None,
+        inside, wit = hull_membership(suf, x)
+        checks["sufficient"] = {
+            "inside": inside,
+            "witness": [format_rat(c) for c in wit] if wit else None,
+        }
+        if args.kind == "chain3":
+            inside_c, wit_c = hull_membership(constructed, x)
+            checks["constructed"] = {
+                "inside": inside_c,
+                "witness": [format_rat(c) for c in wit_c] if wit_c else None,
             }
-            if args.kind == "chain3":
-                inside_c, wit_c = hull_membership(chain3_constructed_region(args.d), x)
-                checks["constructed"] = {
-                    "inside": inside_c,
-                    "witness": [format_rat(c) for c in wit_c] if wit_c else None,
-                }
-                checks["discrepant_point"] = inside_c and not inside
-        else:
-            inside, wit = hull_membership(suf, x)
-            checks["sufficient"] = {
-                "inside": inside,
-                "witness": [format_rat(c) for c in wit] if wit else None,
-            }
+            checks["discrepant_point"] = inside_c and not inside
         result["check"] = checks
 
     payload = _header("polytope", config)
@@ -428,7 +422,14 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process.
+
+    Building an argparse parser leaves reference cycles (its help
+    formatters) that only a full garbage collection frees, so repeated
+    in-process `main` calls share one parser.
+    """
     p = _Parser(prog="lpgraph",
                 description="certificates, rigidity probes, and grid "
                             "estimators for unit-distance graph forms")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
 
 
 class MarginError(ValueError):
@@ -184,6 +183,8 @@ def cubic_prefilter(f: GridField, reach: float = 0.0) -> CubicCoeffs:
     Shifts up to `reach` (physical units) in each axis read views of the
     padded coefficients; longer ones pad a temporary copy.
     """
+    from scipy import ndimage  # only the quadrature path pays for it
+
     coeffs = ndimage.spline_filter(f.values, order=3, mode=_CUBIC_MODE)
     pad = int(math.ceil(reach / f.h)) + 3
     return CubicCoeffs(np.pad(coeffs, pad), pad)

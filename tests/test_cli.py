@@ -100,6 +100,25 @@ def test_polytope_chain3_check(tmp_path):
         ["1/2", "5/6", "1/3"], ["5/6", "1/2", "1/3"]]
 
 
+def test_polytope_check_reuses_regions(tmp_path, monkeypatch):
+    # --check tests the point against the regions already built for the
+    # artifact; rebuilding the constructed region costs its LPs twice
+    from lpgraph import cli
+
+    real = cli.chain3_constructed_region
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(cli, "chain3_constructed_region", counted)
+    code, _ = run(["polytope", "--kind", "chain3",
+                   "--check", "2/3", "2/3", "1/3"], tmp_path)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_polytope_regular_needs_graph(tmp_path):
     with pytest.raises(SystemExit):
         main(["polytope", "--kind", "regular"])

@@ -210,8 +210,11 @@ def test_import_skips_scipy_signal():
     import lpgraph
 
     src = str(Path(lpgraph.__file__).resolve().parents[1])
+    # scipy.ndimage loads with the first cubic prefilter, so the exact-LP
+    # subcommands do not carry it
     code = ("import sys, lpgraph.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.ndimage') "
+            "if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run([sys.executable, "-c", code], env=env,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
+from lpgraph.certificates import PROFILE
 from lpgraph.simplex import (
     LPError,
     LPResult,
@@ -301,3 +302,58 @@ def test_matches_dense_reference(lp):
     got = solve_lp(c, rows, maximize=maximize)
     want = dense_solve_lp(c, rows, maximize=maximize)
     assert (got.status, got.x, got.value) == (want.status, want.x, want.value)
+
+
+def test_negative_drive_out_pivot():
+    # phase 1 ends with the artificial of -x1 == 0 basic at zero; driving it
+    # out pivots on the entry -1, so the row must be sign-normalized
+    obj = [F(1), F(1)]
+    rows = [([F(-1), F(0)], "==", F(0)), ([F(1), F(1)], "<=", F(1))]
+    res = solve_lp(obj, rows)
+    assert (res.status, res.x, res.value) == ("optimal", [F(0), F(1)], F(1))
+    want = dense_solve_lp(obj, rows)
+    assert (res.status, res.x, res.value) == (want.status, want.x, want.value)
+
+
+# wider rationals than the tree LPs' inputs: denominators up to 2^20 like the
+# open-interval margin of the tree certificates, the improving profile's
+# slopes, fractional right-hand sides, and coefficients spelled as int, str
+# or Fraction
+_SLOPES = [m for m, _ in PROFILE.segments()]
+_WIDE = st.one_of(
+    st.integers(-5, 5).map(F),
+    st.builds(F, st.integers(-(1 << 20), 1 << 20), st.integers(1, 1 << 20)),
+    st.sampled_from(_SLOPES + [-m for m in _SLOPES]),
+)
+
+
+@st.composite
+def spelled(draw):
+    v = draw(_WIDE)
+    form = draw(st.sampled_from(("int", "str", "Fraction")))
+    if form == "int" and v.denominator == 1:
+        return int(v)
+    return str(v) if form == "str" else v
+
+
+@st.composite
+def wide_rational_lps(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    c = [draw(spelled()) for _ in range(n)]
+    rows = [([draw(spelled()) for _ in range(n)], draw(st.sampled_from(_RELS)),
+             draw(spelled()))
+            for _ in range(m)]
+    return c, rows, draw(st.booleans())
+
+
+@given(wide_rational_lps())
+@settings(max_examples=200, deadline=None)
+def test_wide_rationals_match_dense_reference(lp):
+    c, rows, maximize = lp
+    got = solve_lp(c, rows, maximize=maximize)
+    want = dense_solve_lp(c, rows, maximize=maximize)
+    assert (got.status, got.x, got.value) == (want.status, want.x, want.value)
+    if got.optimal:
+        assert all(type(v) is Fraction for v in got.x)
+        assert type(got.value) is Fraction
