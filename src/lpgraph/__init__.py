@@ -31,7 +31,6 @@ from .certificates import (  # noqa: F401
     certify,
     certify_tree,
     certify_contraction,
-    certify_join,
     replay,
 )
 from .rigidity import (  # noqa: F401

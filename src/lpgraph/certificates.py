@@ -80,7 +80,6 @@ class Certificate:
     witness: ExponentVector
     derivation: list[dict]
     assumptions: list[str] = field(default_factory=list)
-    block_region: BlockRegion | None = None
 
     @property
     def total(self) -> Fraction:
@@ -314,31 +313,22 @@ def _unknown(g: Graph, assumptions: list[str]) -> Certificate:
 # block regions and joins
 
 
-def block_region_for(block_graph: Graph, kind: str | None = None) -> BlockRegion:
-    """Certified polytope for a block: edge, triangle, or the generic hull."""
-    if kind is None:
-        if block_graph.n == 2:
-            kind = "edge_profile"
-        elif block_graph.n == 3 and block_graph.num_edges == 3:
-            kind = "triangle"
-        else:
-            kind = "regular_hull"
-    if kind == "edge_profile":
-        poly = VertexPolytope(
-            ((ONE, ZERO), (ZERO, ONE), (Fraction(2, 3), Fraction(2, 3))),
-            "edge profile triangle",
-        )
-        return BlockRegion(kind, poly, PROVEN)
-    if kind == "triangle":
-        return BlockRegion(kind, sufficient_vertices("triangle"), PROVEN)
-    if kind == "regular_hull":
-        poly = sufficient_vertices("regular", block_graph)
-        return BlockRegion(
-            kind, poly, CONDITIONAL,
-            note="hull bound requires the unit-distance regularity hypothesis; "
-                 "treated as supplying the join hypotheses",
-        )
-    raise CertificateError(f"unknown block region kind {kind!r}")
+def block_region_for(block_graph: Graph) -> BlockRegion:
+    """Certified polytope for a block: edge, triangle, or the generic hull.
+
+    A single edge's region is the regular hull of its one edge, and holds
+    without the regularity hypothesis.
+    """
+    if block_graph.n == 3 and block_graph.num_edges == 3:
+        return BlockRegion("triangle", sufficient_vertices("triangle"), PROVEN)
+    poly = sufficient_vertices("regular", block_graph)
+    if block_graph.n == 2:
+        return BlockRegion("edge_profile", poly, PROVEN)
+    return BlockRegion(
+        "regular_hull", poly, CONDITIONAL,
+        note="hull bound requires the unit-distance regularity hypothesis; "
+             "treated as supplying the join hypotheses",
+    )
 
 
 def _placement_lp(region: VertexPolytope, maximize_coords: Sequence[int],
@@ -502,84 +492,6 @@ def _join_step(cut: int, before: Fraction, up: Fraction, gain: Fraction,
         "gain": format_rat(gain),
         "block": block,
     }
-
-
-def certify_join(cut: int, cert_a: Certificate, cert_b: Certificate,
-                 u_prime: Fraction | None = None) -> Certificate:
-    """Join two certificates whose graphs share exactly the cut vertex.
-
-    cert_a supplies a non-trivial estimate at the cut (sum >= 1 and a
-    finite exponent there); cert_b must be a block certificate carrying a
-    certified region (its universality marker decides proven vs conditional).
-    The cut exponent of cert_a is split, and cert_b's region is used in dual
-    mode at the cut.
-    """
-    shared = set(cert_a.vertices) & set(cert_b.vertices)
-    if shared != {cut}:
-        raise CertificateError(
-            f"graphs must share exactly the cut vertex {cut}, shared={sorted(shared)}")
-    if cert_a.status == UNKNOWN or cert_b.status == UNKNOWN:
-        raise CertificateError("cannot join an unknown certificate")
-    if cert_b.block_region is None:
-        raise CertificateError("cert_b must be a block certificate with a region")
-    u_cut = cert_a.witness_at(cut)
-    if cert_a.total < 1 or u_cut == ZERO:
-        raise CertificateError(
-            "missing non-trivial estimate at the cut "
-            f"(sum={cert_a.total}, cut exponent={u_cut})")
-
-    region = cert_b.block_region
-    cut_local_b = cert_b.vertices.index(cut)
-    if u_prime is None:
-        ((up, y, lam, gain),) = _join_lp([region.polytope], [cut_local_b],
-                                         u_cut, [[]])
-    else:
-        up = rat(u_prime)
-        if not (ZERO < up <= u_cut and up < ONE):
-            raise CertificateError(f"split {up} outside (0, min(1, cut exponent))")
-        # best region point for this prescribed split
-        nv = len(region.polytope.vertices)
-        rows: list[Row] = [([ONE] * nv, "==", ONE)]
-        rows.append(([v[cut_local_b] for v in region.polytope.vertices], "==", ONE - up))
-        obj = [sum((v[i] for i in range(region.polytope.dim) if i != cut_local_b), ZERO)
-               for v in region.polytope.vertices]
-        res = solve_lp(obj, rows, maximize=True)
-        if not res.optimal:
-            raise CertificateError("no region point matches the prescribed split")
-        lam = res.x
-        y = _hull_point(region.polytope, lam)
-        gain = res.value - up
-    if not (ZERO < up < ONE):
-        raise CertificateError(f"join split {up} not strictly inside (0, 1)")
-    if gain <= ZERO:
-        raise CertificateError("join produced no strict gain")
-
-    new_globals = tuple(sorted(set(cert_a.vertices) | set(cert_b.vertices)))
-    union_graph, _ = relabel(new_globals, cert_a.global_edges() + cert_b.global_edges())
-
-    wmap = {v: cert_a.witness_at(v) for v in cert_a.vertices}
-    wmap[cut] = u_cut - up
-    for i, v in enumerate(cert_b.vertices):
-        if v != cut:
-            wmap[v] = y[i]
-    witness = ExponentVector(tuple(wmap[v] for v in new_globals))
-
-    status = PROVEN
-    assumptions = list(cert_a.assumptions)
-    if cert_a.status == CONDITIONAL or region.universal == CONDITIONAL:
-        status = CONDITIONAL
-    if region.universal == CONDITIONAL:
-        assumptions.append(
-            f"block {list(cert_b.vertices)}: {region.note}")
-    block = _block_vertex_step(cert_b.vertices, region, y, lam, cert_b.global_edges())
-    derivation = [{
-        "kind": "join_fold",
-        "base": cert_a.derivation,
-        "joins": [_join_step(cut, u_cut, up, gain, block)],
-    }]
-    return Certificate(graph=union_graph, vertices=new_globals, status=status,
-                       witness=witness, derivation=derivation,
-                       assumptions=assumptions)
 
 
 # ---------------------------------------------------------------------------

@@ -173,20 +173,17 @@ def cmd_certify(args) -> int:
     cert = certificates.certify(g, master_seed=args.seed,
                                 probe_seeds=args.probe_seeds)
     obj = cert.to_json_dict()
+    code = 0
     if args.verify:
         rr = certificates.replay(obj)
         obj["replay"] = {"ok": rr.ok, "failure": rr.failure}
-        if not rr.ok:
-            payload = _header("certify", {"graph": args.graph, "seed": args.seed})
-            payload["result"] = obj
-            emit_json(payload, args.output)
-            return COMPUTE_ERROR
+        code = 0 if rr.ok else COMPUTE_ERROR
     payload = _header("certify", {"graph": args.graph, "seed": args.seed,
                                   "probe_seeds": args.probe_seeds,
                                   "verify": bool(args.verify)})
     payload["result"] = obj
     emit_json(payload, args.output)
-    return 0
+    return code
 
 
 def cmd_polytope(args) -> int:
@@ -214,15 +211,13 @@ def cmd_polytope(args) -> int:
                     [format_rat(c) for c in p] for p in missing
                 ],
             }
-    elif args.kind == "regular":
+    else:  # kind "regular"
         if not args.graph:
-            raise SystemExit(USAGE_ERROR)
+            build_parser().error("polytope --kind regular needs --graph")
         g = _load_graph(args.graph)
         suf = sufficient_vertices("regular", g)
         config["graph"] = args.graph
         result["sufficient"] = suf.to_json_dict()
-    else:  # pragma: no cover - argparse choices
-        return USAGE_ERROR
 
     if args.check:
         x = tuple(rat(c) for c in args.check)
@@ -357,8 +352,7 @@ def cmd_estimate(args) -> int:
         res = scaling_experiment(
             path3(), spec["assignment"], spec["params"],
             grid_points=args.grid_points,
-            epsilon_policy=spec["epsilon_policy"],
-            fixed_epsilon=1.0 / 16.0)
+            epsilon_policy=spec["epsilon_policy"])
         payload["result"] = res.to_json_dict()
         if "expected" in spec:
             payload["result"]["expected_slope"] = spec["expected"]

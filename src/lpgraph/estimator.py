@@ -551,8 +551,7 @@ def scaling_experiment(g: Graph, assignment: Sequence[str],
                        params: Sequence[float], grid_points: int = 513,
                        L: float | None = None,
                        epsilon_policy: str = "quarter",
-                       fixed_epsilon: float = 1.0 / 16.0,
-                       method: str = "auto") -> ScalingResult:
+                       fixed_epsilon: float = 1.0 / 16.0) -> ScalingResult:
     """Form values along a shrinking-parameter family, with a log-log fit.
 
     epsilon_policy "quarter" couples the kernel width to the parameter
@@ -594,7 +593,7 @@ def scaling_experiment(g: Graph, assignment: Sequence[str],
         h = grids.grid_spacing(dom, grid_points)
         k = make_kernel(eps, policy_angular_nodes(h))
         fields = [_scaled_field(spec, p, dom, h) for spec in assignment]
-        val = form_evaluate(g, fields, k, method=method)
+        val = form_evaluate(g, fields, k)
         norms = [lp_norm(f, 1.0) for f in fields]
         rows.append(ScalingRow(param=p, value=val, norms=norms,
                                slope_running=None))
@@ -621,15 +620,15 @@ class RatioRow:
 
 
 def ratio_experiment(p: float, q: float, family: str,
-                     params: Sequence[float], grid_points: int = 1025,
-                     epsilon_policy: str = "quarter",
-                     fixed_epsilon: float = 1.0 / 32.0) -> list[RatioRow]:
-    """Averaging-operator norm ratios |Af|_q / |f|_p along a family."""
+                     params: Sequence[float], grid_points: int = 1025
+                     ) -> list[RatioRow]:
+    """Averaging-operator norm ratios |Af|_q / |f|_p along a family, with
+    kernel width eps = param / 4."""
     if p < 1 or q < 1:
         raise ValueError("exponents must be >= 1")
     rows = []
     for prm in sorted(params, reverse=True):
-        eps = prm / 4.0 if epsilon_policy == "quarter" else fixed_epsilon
+        eps = prm / 4.0
         dom = 1.0 + prm / 2.0 + 1.0 + eps + 0.05
         h = grids.grid_spacing(dom, grid_points)
         k = make_kernel(eps, policy_angular_nodes(h))

@@ -19,6 +19,10 @@ from .graphs import Graph, bfs_tree
 
 RESIDUAL_TOL = 1e-10
 RANK_TOL_SHIFT = 2.0 ** -40
+# least-squares evaluations per random start of solve_realization
+MAX_NFEV = 200
+# Monte Carlo samples drawn per random stream; a run's value depends on it
+MC_BATCH = 100_000
 
 
 class CoincidentEndpointsError(ValueError):
@@ -115,8 +119,7 @@ def pin_to_M0(x: Realization) -> Realization:
     return Realization((p - p[0]) @ rot.T)
 
 
-def solve_realization(g: Graph, seed: int, restarts: int = 20,
-                      max_iter: int = 200) -> Realization:
+def solve_realization(g: Graph, seed: int, restarts: int = 20) -> Realization:
     """Least-squares search for a unit realization from seeded random starts.
 
     Success requires max |F(x) - 1| below 1e-10; the result is pinned.
@@ -150,7 +153,7 @@ def solve_realization(g: Graph, seed: int, restarts: int = 20,
     for _ in range(restarts):
         start = rng.uniform(-g.n, g.n, size=2 * g.n)
         sol = least_squares(resid, start, jac=jac, method="trf",
-                            max_nfev=max_iter, xtol=1e-15, ftol=1e-15,
+                            max_nfev=MAX_NFEV, xtol=1e-15, ftol=1e-15,
                             gtol=1e-15)
         r = float(np.max(np.abs(sol.fun)))
         if r < best:
@@ -269,7 +272,7 @@ class LerayEstimate:
 
 
 def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
-                  master_seed: int, batch: int = 100_000) -> LerayEstimate:
+                  master_seed: int) -> LerayEstimate:
     """Monte-Carlo integral of prod f_i(x_i) against the box-window shell.
 
     The shell factor is (2 eps)^{-|E|} prod 1[|dist - 1| <= eps] over the
@@ -278,7 +281,7 @@ def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
     the sampler at cell resolution), every child is drawn in the annulus
     shell around its parent (importance weight 2 pi r per tree edge); the
     remaining edge windows are evaluated as-is.  Deterministic for a fixed
-    master seed and batch size.
+    master seed.
     """
     g.require_connected()
     if epsilon <= 0:
@@ -308,7 +311,7 @@ def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
     done = 0
     stream = 0
     while done < samples:
-        m = min(batch, samples - done)
+        m = min(MC_BATCH, samples - done)
         rng = np.random.default_rng([master_seed, stream])
         stream += 1
         pts = np.empty((m, g.n, 2))

@@ -12,10 +12,8 @@ from hypothesis import given, settings, strategies as st
 from lpgraph.certificates import (
     Certificate,
     CertificateError,
-    block_region_for,
     certify,
     certify_contraction,
-    certify_join,
     certify_tree,
     replay,
     tree_budget_lp,
@@ -204,56 +202,6 @@ def test_contraction_rejects_tree():
 
 
 # ---------------------------------------------------------------------------
-# joins
-
-
-def _triangle_cert_on(labels):
-    remap = dict(zip((1, 2, 3), labels))
-    cert = certify(triangle())
-    return Certificate(
-        graph=cert.graph, vertices=tuple(labels), status=cert.status,
-        witness=cert.witness, derivation=copy.deepcopy(cert.derivation),
-        assumptions=[], block_region=block_region_for(triangle()),
-    )
-
-
-def test_join_two_triangles():
-    a = _triangle_cert_on((1, 2, 3))
-    b = _triangle_cert_on((3, 4, 5))
-    joined = certify_join(3, a, b)
-    assert joined.status == "proven"
-    assert joined.total > 1
-    assert joined.graph.n == 5
-
-
-def test_join_requires_single_shared_vertex():
-    a = _triangle_cert_on((1, 2, 3))
-    b = _triangle_cert_on((2, 3, 4))
-    with pytest.raises(CertificateError, match="share exactly"):
-        certify_join(3, a, b)
-
-
-def test_join_requires_nontrivial_estimate():
-    a = _triangle_cert_on((1, 2, 3))
-    zeroed = Certificate(
-        graph=a.graph, vertices=a.vertices, status="proven",
-        witness=__import__("lpgraph.exponents", fromlist=["ExponentVector"]
-                           ).ExponentVector((F(2, 3), F(2, 3), F(0))),
-        derivation=a.derivation, block_region=a.block_region)
-    b = _triangle_cert_on((3, 4, 5))
-    with pytest.raises(CertificateError, match="non-trivial estimate"):
-        certify_join(3, zeroed, b)
-
-
-def test_join_with_prescribed_split():
-    a = _triangle_cert_on((1, 2, 3))
-    b = _triangle_cert_on((3, 4, 5))
-    joined = certify_join(3, a, b, u_prime=F(1, 4))
-    assert joined.witness_at(3) == F(1, 2) - F(1, 4)
-    assert joined.total > 1
-
-
-# ---------------------------------------------------------------------------
 # the full pipeline
 
 
@@ -436,6 +384,21 @@ def test_replay_rejects_graph_with_an_unlabelled_vertex():
     assert "once" in res.failure
 
 
+def test_replay_rejects_two_vertex_block_without_its_edge():
+    # drop the bridge from both the graph and its edge_profile block: every
+    # remaining edge is still used once, so the edge check passes, and the
+    # region lookup must reject the block, whose two vertices are unjoined
+    cert = certify(LARGER_CASES["two triangles joined by an edge"]).to_json_dict()
+    forged = copy.deepcopy(cert)
+    forged["graph"]["edges"].remove([3, 4])
+    block = forged["derivation"][0]["joins"][0]["block"]
+    assert (block["block_vertices"], block["region"]) == ([3, 4], "edge_profile")
+    block["block_edges"] = []
+    res = replay(forged)
+    assert not res.ok
+    assert "not connected" in res.failure
+
+
 def test_certificate_json_roundtrip():
     cert = certify(triangle_with_pendant_tree())
     obj = cert.to_json_dict()
@@ -529,12 +492,17 @@ GOLDEN_DIGESTS = {
         "4f56eebe8a9de749b698888514c2a4e78d750cc0f8dae46bd6b50ecab9060503",
     "k4":
         "b245223751777c6a3d9c6b8e774c354a831d6ff4dcc4fb4f200e1564db16c389",
+    "two triangles joined by an edge":
+        "994f0955979fe1d7f13d3c9fbbbd49c5a92a2841cababff4509687686ff8b9fb",
+    "two triangles joined by a 2-edge path":
+        "6cac6218397f14aad6d85a0db65fdef26f4e7db3d816ec4b9acea51922b93559",
 }
 
 
 # seeded random trees with 13 and 16 vertices, rooted at vertex 1 like every
-# tree; cactus graphs with pendant trees; and K4, which has no unit
-# realization, so its certificate is unknown
+# tree; cactus graphs with pendant trees; K4, which has no unit realization,
+# so its certificate is unknown; and two triangles joined by bridges, whose
+# 2-cores reach the edge_profile block region
 LARGER_CASES = {
     "tree n=13": Graph(13, (
         (1, 5), (2, 5), (3, 4), (3, 8), (3, 11), (4, 10), (4, 13), (5, 11),
@@ -549,6 +517,10 @@ LARGER_CASES = {
         (1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (3, 4), (4, 8), (5, 6), (6, 7),
         (8, 9))),
     "k4": Graph(4, tuple(itertools.combinations(range(1, 5), 2))),
+    "two triangles joined by an edge": Graph(6, (
+        (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6))),
+    "two triangles joined by a 2-edge path": Graph(7, (
+        (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (6, 7))),
 }
 
 

@@ -43,6 +43,22 @@ def test_certify_unknown_is_exit_zero(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["result"]["status"] == "unknown"
 
 
+def test_certify_replay_failure_keeps_config(tmp_path, monkeypatch):
+    # a failed replay exits 2, and its artifact still echoes the resolved
+    # configuration
+    from lpgraph import certificates
+
+    monkeypatch.setattr(certificates, "replay",
+                        lambda obj: certificates.ReplayResult(False, "forged"))
+    code, out = run(["certify", str(GRAPHS / "k3.graph"), "--verify",
+                     "--probe-seeds", "3"], tmp_path)
+    assert code == 2
+    doc = json.loads(out.read_text())
+    assert doc["config"] == {"graph": str(GRAPHS / "k3.graph"), "seed": 0,
+                             "probe_seeds": 3, "verify": True}
+    assert doc["result"]["replay"] == {"ok": False, "failure": "forged"}
+
+
 def test_certify_when_vertices_1_and_2_coincide(tmp_path):
     # least squares places the non-adjacent vertices 1 and 2 on one point of
     # a unit realization of this graph; the probe must still pin it
@@ -119,9 +135,11 @@ def test_polytope_check_reuses_regions(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_polytope_regular_needs_graph(tmp_path):
-    with pytest.raises(SystemExit):
+def test_polytope_regular_needs_graph(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["polytope", "--kind", "regular"])
+    assert exc.value.code == 1
+    assert "--kind regular needs --graph" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(capsys):
@@ -140,6 +158,26 @@ def test_estimate_decay_preset(tmp_path):
     assert code == 0
     res = json.loads(out.read_text())["result"]
     assert all(r["normalized"] <= 1.0 for r in res["rows"] if r["freq"] >= 2)
+
+
+def test_estimate_config(tmp_path):
+    cfg = {"graph": str(GRAPHS / "path3.graph"),
+           "assignment": ["ball", "ball", "annulus"],
+           "params": [0.125, 0.0625], "grid": {"points": 129}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run(["estimate", "--config", str(path)], tmp_path, "a.json")
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"] == dict(cfg, seed=0)
+    assert [r["param"] for r in doc["result"]["rows"]] == [0.125, 0.0625]
+    lines = out.with_suffix(".csv").read_text().splitlines()
+    assert lines[0].startswith("param,") and len(lines) == 3
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.125, 0.0625]
+    _, again = run(["estimate", "--config", str(path)], tmp_path, "b.json")
+    assert again.read_bytes() == out.read_bytes()
+    assert (again.with_suffix(".csv").read_bytes()
+            == out.with_suffix(".csv").read_bytes())
 
 
 def test_determinism_byte_identical(tmp_path):

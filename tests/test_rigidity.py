@@ -241,13 +241,13 @@ def test_mc_results_pinned():
                             for a in (0, 2 * math.pi / 3, 4 * math.pi / 3)],
                      width=0.15)
     est = leray_mc_form(triangle(), tri, epsilon=1 / 32, samples=250_000,
-                        master_seed=7, batch=100_000)
+                        master_seed=7)
     assert (est.value, est.std_error, est.shell_hits) == (
         0.019099117577497507, 0.0016927687940635873, 5742)
     chain = [field_family("ball", L, h, delta=0.3),
              field_family("annulus", L, h, delta=0.25),
              field_family("gaussian", L, h, center=(0.2, -0.1), width=0.2)]
     est = leray_mc_form(path3(), chain, epsilon=1 / 16, samples=150_000,
-                        master_seed=3, batch=100_000)
+                        master_seed=3)
     assert (est.value, est.std_error, est.shell_hits) == (
         0.0013459331171096123, 4.6403516337823e-05, 150000)
