@@ -220,6 +220,9 @@ def cmd_polytope(args) -> int:
         result["sufficient"] = suf.to_json_dict()
 
     if args.check:
+        if len(args.check) != suf.dim:
+            build_parser().error(f"--check has {len(args.check)} coordinates, "
+                                 f"the polytope has dimension {suf.dim}")
         x = tuple(rat(c) for c in args.check)
         checks: dict = {"point": [format_rat(c) for c in x]}
         if args.kind in ("triangle", "chain3"):
@@ -452,8 +455,8 @@ def build_parser() -> _Parser:
                     required=True)
     pp.add_argument("--d", type=int, default=2)
     pp.add_argument("--graph", help="graph file (kind=regular)")
-    pp.add_argument("--check", nargs=3, metavar=("U1", "U2", "U3"),
-                    help="exact rationals like 2/3")
+    pp.add_argument("--check", nargs="+", metavar="U",
+                    help="one exact rational like 2/3 per coordinate")
     pp.add_argument("-o", "--output")
     pp.set_defaults(func=cmd_polytope)
 

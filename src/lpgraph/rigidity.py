@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .graphs import Graph, bfs_tree
 
 RESIDUAL_TOL = 1e-10
 RANK_TOL_SHIFT = 2.0 ** -40
-# least-squares evaluations per random start of solve_realization
+# Gauss-Newton iterations per random start of solve_realization
 MAX_NFEV = 200
 # Monte Carlo samples drawn per random stream; a run's value depends on it
 MC_BATCH = 100_000
@@ -65,15 +64,7 @@ class Realization:
 
 def rigidity_map(g: Graph, x: Realization) -> np.ndarray:
     """Edge lengths in lexicographic edge order."""
-    if x.n != g.n:
-        raise ValueError(f"realization has {x.n} points, graph has {g.n}")
-    out = np.empty(g.num_edges)
-    for k, (i, j) in enumerate(g.edges):
-        d = np.linalg.norm(x.points[i - 1] - x.points[j - 1])
-        if d == 0.0:
-            raise CoincidentEndpointsError((i, j))
-        out[k] = d
-    return out
+    return _edge_geometry(g, x.points)[0]
 
 
 def rigidity_jacobian(g: Graph, x: Realization) -> np.ndarray:
@@ -82,13 +73,27 @@ def rigidity_jacobian(g: Graph, x: Realization) -> np.ndarray:
     Row scaling by the (positive) edge length does not change the rank, so
     this matches the unnormalized difference-vector convention rank-wise.
     """
-    lengths = rigidity_map(g, x)  # also validates coincidence
-    J = np.zeros((g.num_edges, 2 * g.n))
-    for k, (i, j) in enumerate(g.edges):
-        u = (x.points[i - 1] - x.points[j - 1]) / lengths[k]
-        J[k, 2 * (i - 1):2 * i] = u
-        J[k, 2 * (j - 1):2 * j] = -u
-    return J
+    return _edge_geometry(g, x.points)[1]
+
+
+def _edge_geometry(g: Graph, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge lengths and the unit-row Jacobian at the (n, 2) points pts.
+
+    Raises CoincidentEndpointsError for the first edge of length zero.
+    """
+    if len(pts) != g.n:
+        raise ValueError(f"realization has {len(pts)} points, graph has {g.n}")
+    idx = np.array(g.edges, dtype=np.intp).reshape(-1, 2) - 1
+    diff = pts[idx[:, 0]] - pts[idx[:, 1]]
+    d = np.linalg.norm(diff, axis=1)
+    if not d.all():
+        raise CoincidentEndpointsError(g.edges[int(np.argmin(d))])
+    rows = np.arange(g.num_edges)
+    J = np.zeros((g.num_edges, g.n, 2))
+    u = diff / d[:, None]
+    J[rows, idx[:, 0]] = u
+    J[rows, idx[:, 1]] = -u
+    return d, J.reshape(g.num_edges, -1)
 
 
 def numerical_rank(J: np.ndarray) -> tuple[int, np.ndarray, float]:
@@ -120,46 +125,34 @@ def pin_to_M0(x: Realization) -> Realization:
 
 
 def solve_realization(g: Graph, seed: int, restarts: int = 20) -> Realization:
-    """Least-squares search for a unit realization from seeded random starts.
+    """Gauss-Newton search for a unit realization from seeded random starts.
 
-    Success requires max |F(x) - 1| below 1e-10; the result is pinned.
+    Each start takes up to MAX_NFEV minimum-norm steps x -= J^+ (F(x) - 1)
+    (Ben-Israel 1966) and fails if an edge collapses to length zero.
+    Success requires max |F(x) - 1| below RESIDUAL_TOL; the result is pinned.
     Raises RealizationNotFound with the best residual after the retry budget.
     """
     g.require_connected()
     rng = np.random.default_rng(seed)
-    idx = np.array(g.edges) - 1
-
-    def resid(flat: np.ndarray) -> np.ndarray:
-        pts = flat.reshape(-1, 2)
-        d = np.linalg.norm(pts[idx[:, 0]] - pts[idx[:, 1]], axis=1)
-        return d - 1.0
-
-    def jac(flat: np.ndarray) -> np.ndarray:
-        pts = flat.reshape(-1, 2)
-        diff = pts[idx[:, 0]] - pts[idx[:, 1]]
-        d = np.linalg.norm(diff, axis=1)
-        d = np.where(d == 0.0, 1.0, d)
-        J = np.zeros((len(idx), flat.size))
-        for k, (a, b) in enumerate(idx):
-            u = diff[k] / d[k]
-            J[k, 2 * a:2 * a + 2] = u
-            J[k, 2 * b:2 * b + 2] = -u
-        return J
-
     if g.num_edges == 0:
         return Realization(np.zeros((g.n, 2)))
 
     best = math.inf
     for _ in range(restarts):
-        start = rng.uniform(-g.n, g.n, size=2 * g.n)
-        sol = least_squares(resid, start, jac=jac, method="trf",
-                            max_nfev=MAX_NFEV, xtol=1e-15, ftol=1e-15,
-                            gtol=1e-15)
-        r = float(np.max(np.abs(sol.fun)))
-        if r < best:
-            best = r
-        if r < RESIDUAL_TOL:
-            return pin_to_M0(Realization(sol.x.reshape(-1, 2)))
+        x = rng.uniform(-g.n, g.n, size=2 * g.n).reshape(-1, 2)
+        for _ in range(MAX_NFEV):
+            try:
+                d, J = _edge_geometry(g, x)
+            except CoincidentEndpointsError:
+                break
+            r = d - 1.0
+            res = float(np.max(np.abs(r)))
+            best = min(best, res)
+            if res < RESIDUAL_TOL:
+                return pin_to_M0(Realization(x))
+            if not math.isfinite(res):
+                break
+            x = x - np.linalg.lstsq(J, r)[0].reshape(-1, 2)
     raise RealizationNotFound(best)
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,7 +63,7 @@ def test_certify_replay_failure_keeps_config(tmp_path, monkeypatch):
 
 
 def test_certify_when_vertices_1_and_2_coincide(tmp_path):
-    # least squares places the non-adjacent vertices 1 and 2 on one point of
+    # the solver places the non-adjacent vertices 1 and 2 on one point of
     # a unit realization of this graph; the probe must still pin it
     edges = "1-3 1-4 1-7 2-3 2-4 2-5 2-6 3-6 3-7 4-5"
     graph = tmp_path / "g.graph"
@@ -135,6 +138,23 @@ def test_polytope_check_reuses_regions(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_polytope_regular_check_takes_one_coordinate_per_vertex(tmp_path,
+                                                                capsys):
+    c4 = str(GRAPHS / "c4.graph")
+    code, out = run(["polytope", "--kind", "regular", "--graph", c4,
+                     "--check", "1/3", "1/3", "1/3", "1/3"], tmp_path)
+    assert code == 0
+    chk = json.loads(out.read_text())["result"]["check"]
+    assert chk["point"] == ["1/3"] * 4
+    assert chk["sufficient"]["inside"] is True
+    with pytest.raises(SystemExit) as exc:
+        main(["polytope", "--kind", "regular", "--graph", c4,
+              "--check", "1/2", "1/2", "1/2"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "3 coordinates" in err and "dimension 4" in err
+
+
 def test_polytope_regular_needs_graph(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["polytope", "--kind", "regular"])
@@ -151,6 +171,19 @@ def test_usage_error_exit_code(capsys):
 def test_missing_file_is_usage_error(tmp_path):
     code = main(["certify", str(tmp_path / "nope.graph")])
     assert code == 1
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # the rank probes solve with numpy alone; loading scipy.optimize cost
+    # every CLI call about 0.2 s
+    import lpgraph
+
+    src = str(Path(lpgraph.__file__).resolve().parent.parent)
+    code = "import sys, lpgraph.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 def test_estimate_decay_preset(tmp_path):

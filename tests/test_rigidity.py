@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpgraph.graphs import Graph, cycle, path3, single_edge, triangle
 from lpgraph.rigidity import (
+    RESIDUAL_TOL,
     CoincidentEndpointsError,
     Realization,
     RealizationNotFound,
@@ -138,6 +140,73 @@ def test_solve_impossible_graph_reports_best():
     with pytest.raises(RealizationNotFound) as exc:
         solve_realization(k4, seed=1, restarts=4)
     assert exc.value.best_residual > 1e-6
+
+
+def _cactus(sizes, anchors):
+    """Cycles of the given sizes, each glued at one vertex of those before."""
+    n, edges = 1, []
+    for k, a in zip(sizes, anchors):
+        ring = [a % n + 1] + list(range(n + 1, n + k))
+        edges += [(ring[i], ring[(i + 1) % k]) for i in range(k)]
+        n += k - 1
+    return Graph(n, tuple(edges))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(3, 9), min_size=1, max_size=3),
+       st.lists(st.integers(0, 50), min_size=3, max_size=3),
+       st.integers(0, 2 ** 32))
+def test_solve_cycles_and_cacti(sizes, anchors, seed):
+    # one size is a cycle of that length; more glue a cactus
+    g = _cactus(sizes, anchors)
+    x = solve_realization(g, seed=seed)
+    assert x.residual(g) < RESIDUAL_TOL
+    # pinned: x1 at the origin, the first point apart from it on the +x axis
+    assert x.points[0].tolist() == [0.0, 0.0]
+    apart = x.points[np.hypot(x.points[:, 0], x.points[:, 1]) > 0][0]
+    assert apart[0] > 0 and abs(apart[1]) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("master_seed", [0, 7])
+def test_probe_cycles_find_every_sample(n, master_seed):
+    rep = regularity_probe(cycle(n), 12, master_seed)
+    assert rep.samples == 12 and rep.failed_seeds == 0
+    assert rep.verdict == "regular-at-all-samples"
+
+
+class _Starts:
+    """Stands in for the solver's generator and hands out fixed starts."""
+
+    def __init__(self, *starts):
+        self.starts = list(starts)
+
+    def uniform(self, low, high, size):
+        return np.array(self.starts.pop(0), dtype=float)
+
+
+@pytest.mark.parametrize("first_step", [False, True])
+def test_collapsed_edge_fails_the_restart(monkeypatch, first_step):
+    # an edge of length zero has no gradient.  The first start has one at
+    # the start itself or, after its first Newton step, at (0.25, 0.25);
+    # exact arithmetic never collapses an edge, so that step is substituted
+    start = [0.0, 0.0, 0.5, 0.5] if first_step else [1.0, 1.0, 1.0, 1.0]
+    lstsq = np.linalg.lstsq
+    steps = []
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda J, r: (steps.pop(),) if steps else lstsq(J, r))
+
+    def solve(restarts):
+        steps[:] = [np.subtract(start, 0.25)] if first_step else []
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _Starts(start, [0.0, 0.0, 2.0, 0.0]))
+        return solve_realization(single_edge(), seed=0, restarts=restarts)
+
+    with pytest.raises(RealizationNotFound):
+        solve(1)
+    np.testing.assert_allclose(solve(2).points, [[0.0, 0.0], [1.0, 0.0]],
+                               atol=1e-12)
+    assert not steps
 
 
 def test_probe_triangle_regular():
