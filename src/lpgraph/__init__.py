@@ -3,6 +3,8 @@ multilinear forms on finite connected graphs."""
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .graphs import (  # noqa: F401
     Graph,
     GraphFormatError,
@@ -44,15 +46,17 @@ from .rigidity import (  # noqa: F401
     regularity_probe,
     leray_mc_form,
 )
-from .estimator import (  # noqa: F401
-    MollifiedCircleKernel,
-    make_kernel,
-    circular_average,
-    bilinear_radon,
-    form_evaluate,
-    test_family,
-    scaling_experiment,
-    ratio_experiment,
-    kernel_decay_check,
-)
-from .grids import GridField, lp_norm  # noqa: F401
+
+# the estimator loads scipy.fft, and the grids serve only the estimator, so
+# their names are looked up on first use (PEP 562); certify, polytope and
+# realize never load them
+_LAZY = dict.fromkeys((
+    "MollifiedCircleKernel make_kernel circular_average bilinear_radon form_evaluate "
+    "test_family scaling_experiment ratio_experiment kernel_decay_check").split(), "estimator")
+_LAZY.update(GridField="grids", lp_norm="grids")
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

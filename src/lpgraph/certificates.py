@@ -3,7 +3,8 @@
 A certificate derives a witness exponent vector with sum strictly above 1
 by composing three mechanisms over the graph structure:
 
-* rooted-tree budget allocation (exact LP over the improving profile),
+* rooted-tree budget allocation (an exact greedy merge of concave pieces
+  over the improving profile; no LP),
 * pendant-tree extension of a core certificate,
 * joins of blocks sharing a single cut vertex, with the incoming block's
   certified polytope used in dual mode at the cut.
@@ -53,8 +54,8 @@ UNKNOWN = "unknown"
 # replay checks them against the same one
 PROFILE = improving_profile_circle(2)
 
-# reopening an improving step at w == 1 is never needed: ties are broken by
-# re-solving with this margin and asserting the optimum is preserved
+# improving steps live on the open interval w < 1: a tree allocation whose
+# optimum fills an edge to w == 1 caps that edge at 1 - _OPEN_MARGIN instead
 _OPEN_MARGIN = Fraction(1, 1 << 20)
 
 
@@ -119,16 +120,16 @@ class Certificate:
 
 
 # ---------------------------------------------------------------------------
-# rooted-tree budget LP
+# rooted-tree budget allocation
 
 
-def _rooted(g: Graph, root: int) -> dict[int, list[int]]:
-    """children lists by BFS from root, each sorted ascending."""
+def _rooted(g: Graph, root: int) -> tuple[list[int], dict[int, list[int]]]:
+    """BFS order from root, and children lists each sorted ascending."""
     order, parent = bfs_tree(g, root)
     children: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
     for v in order[1:]:
         children[parent[v]].append(v)
-    return children
+    return order, children
 
 
 @dataclass
@@ -139,109 +140,97 @@ class TreeAllocation:
     u: dict[int, Fraction]  # vertex -> exponent reciprocal
     w: dict[int, Fraction]  # non-root vertex -> budget routed into its edge
     children: dict[int, list[int]]
+    optimum: Fraction  # best sum if steps at w == 1 were allowed; >= total
+
+
+# A piece (length, gain, x, source) of a vertex's value function is `length`
+# units of its budget that end in u_x, each unit raising u_x by `gain`, and
+# `source` is the child edge the budget leaves through, or the vertex.  Pieces
+# are sorted by gain descending, then x ascending, which is the order of
+# gain * (1 + eps**x) for small eps > 0: spending a budget in that order
+# maximizes sum u, then u_1, then u_2, and so on.
+
+
+def _prefix(pieces: list[tuple], length: Fraction) -> list[tuple]:
+    """The leading pieces, the last one cut so their lengths sum to length."""
+    out = []
+    for piece in pieces:
+        if length <= ZERO:
+            break
+        out.append((min(piece[0], length),) + piece[1:])
+        length -= piece[0]
+    return out
+
+
+def _through_profile(pieces: list[tuple]) -> list[tuple]:
+    """Pieces of w -> F(PROFILE(w)) from the pieces of F, without sources.
+
+    A profile segment of slope m stretches the budget it receives by m, so a
+    piece's part on that segment is 1/m as long and gains m times as much.
+    Concavity keeps the result sorted.
+    """
+    out, start = [], ZERO
+    segments = list(zip(PROFILE.breakpoints, PROFILE.breakpoints[1:]))
+    for length, gain, x, _ in pieces:
+        end = start + length
+        for (w0, b0), (w1, b1) in segments:
+            lo, hi = max(start, b0), min(end, b1)
+            if lo < hi:
+                m = (b1 - b0) / (w1 - w0)
+                out.append(((hi - lo) / m, gain * m, x))
+        start = end
+    return out
+
+
+def _allocate(children: dict[int, list[int]], order: list[int], budget: Fraction,
+              capped: set[int]) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    """(u, w) spending budget at order[0]; a capped edge gets below 1."""
+    merged: dict[int, list[tuple]] = {}
+    for v in reversed(order):
+        pieces = [(ONE, ONE, v, v)]
+        for c in children[v]:
+            cap = ONE - _OPEN_MARGIN if c in capped else ONE
+            pieces += [p + (c,) for p in _prefix(_through_profile(merged[c]), cap)]
+        pieces.sort(key=lambda p: (-p[1], p[2]))
+        merged[v] = _prefix(pieces, ONE)
+    u, w, budgets = {}, {}, {order[0]: budget}
+    for v in order:
+        spent = dict.fromkeys([v, *children[v]], ZERO)
+        for length, _, _, source in _prefix(merged[v], budgets[v]):
+            spent[source] += length
+        u[v] = spent.pop(v)
+        for c, wc in spent.items():
+            w[c] = wc
+            budgets[c] = PROFILE.value(wc)
+    return u, w
 
 
 def tree_budget_lp(g: Graph, root: int, budget: Fraction) -> TreeAllocation:
     """Maximize the witness sum of a rooted tree under an output budget.
 
-    Exact LP: each node splits its budget between its own Hoelder factor and
-    its child edges; each edge upgrades its budget through `PROFILE`.  The
-    optimal witness is refined lexicographically (u_1 first, then u_2, ...),
-    and the profile inequalities are then re-tightened so every recorded
-    step is exact.
+    Each node splits its budget between its own Hoelder factor and its child
+    edges; each edge upgrades its budget through `PROFILE`.  The optimum,
+    ties broken lexicographically (u_1 first, then u_2, ...), is built
+    exactly by merging concave pieces bottom-up (Ibaraki and Katoh,
+    *Resource Allocation Problems*, 1988) and spending the budget top-down.
+    An improving step needs w < 1, so edges that the optimum fills to w = 1
+    are capped at 1 - _OPEN_MARGIN and the merge is redone; `optimum` keeps
+    the uncapped sum.
     """
     if not is_tree(g):
-        raise CertificateError("tree LP requires a tree")
+        raise CertificateError("tree allocation requires a tree")
     budget = rat(budget)
     if not (ZERO <= budget <= ONE):
         raise CertificateError(f"budget {budget} outside [0, 1]")
-    children = _rooted(g, root)
-    non_root = [v for v in range(1, g.n + 1) if v != root]
-
-    # variable layout: u_1..u_n, then w_v, then b_v for non-root v
-    nu = g.n
-    w_idx = {v: nu + i for i, v in enumerate(non_root)}
-    b_idx = {v: nu + len(non_root) + i for i, v in enumerate(non_root)}
-    width = nu + 2 * len(non_root)
-
-    def unit(idx: int, coef=ONE) -> list[Fraction]:
-        row = [ZERO] * width
-        row[idx] = coef
-        return row
-
-    rows: list[Row] = []
-    # budget equalities
-    row = [ZERO] * width
-    row[root - 1] = ONE
-    for c in children[root]:
-        row[w_idx[c]] = ONE
-    rows.append((row, "==", budget))
-    for v in non_root:
-        row = [ZERO] * width
-        row[v - 1] = ONE
-        for c in children[v]:
-            row[w_idx[c]] = ONE
-        row[b_idx[v]] = -ONE
-        rows.append((row, "==", ZERO))
-    # profile envelope: b_v <= m * w_v + q for every segment
-    for v in non_root:
-        for m, q in PROFILE.segments():
-            row = [ZERO] * width
-            row[b_idx[v]] = ONE
-            row[w_idx[v]] = -m
-            rows.append((row, "<=", q))
-    # box bounds
-    for v in range(1, g.n + 1):
-        rows.append((unit(v - 1), "<=", ONE))
-    for v in non_root:
-        rows.append((unit(w_idx[v]), "<=", ONE))
-
-    objective = [ONE] * nu + [ZERO] * (2 * len(non_root))
-
-    res = solve_lp(objective, rows, maximize=True)
-    if not res.optimal:  # pragma: no cover - always feasible
-        raise CertificateError(f"tree LP failed: {res.status}")
-    total = res.value
-
-    pinned: list[Row] = list(rows)
-    pinned.append((list(objective), "==", total))
-    for v in range(1, g.n + 1):
-        res = solve_lp(unit(v - 1), pinned, maximize=True)
-        assert res.optimal
-        pinned.append((unit(v - 1), "==", res.value))
-
-    x = res.x
-    w = {v: x[w_idx[v]] for v in non_root}
-
-    # improving steps live on the open interval; resolve w == 1 ties
-    clamped = [v for v in non_root if w[v] == ONE]
-    if clamped:
-        retry = list(rows)
-        for v in clamped:
-            retry.append((unit(w_idx[v]), "<=", ONE - _OPEN_MARGIN))
-        res2 = solve_lp(objective, retry, maximize=True)
-        if not (res2.optimal and res2.value == total):
-            raise CertificateError("optimal allocation requires a closed step")
-        x = res2.x
-        w = {v: x[w_idx[v]] for v in non_root}
-
-    # tighten: push every received budget onto the profile exactly
-    u: dict[int, Fraction] = {}
-    b: dict[int, Fraction] = {}
-    for v in non_root:
-        b[v] = PROFILE.value(w[v])
-    for v in non_root:
-        u[v] = b[v] - sum((w[c] for c in children[v]), ZERO)
-    u[root] = budget - sum((w[c] for c in children[root]), ZERO)
-    for v, val in u.items():
-        if not (ZERO <= val <= ONE):  # pragma: no cover - guarded by LP
-            raise CertificateError(f"tightened exponent {val} at {v} out of range")
-    tight_total = sum(u.values(), ZERO)
-    if tight_total < total:  # pragma: no cover
-        raise CertificateError("tightening lost optimality")
-
-    return TreeAllocation(root=root, budget=budget, total=tight_total,
-                          u=u, w=w, children=children)
+    order, children = _rooted(g, root)
+    u, w = _allocate(children, order, budget, set())
+    optimum = sum(u.values(), ZERO)
+    capped: set[int] = set()
+    while ONE in w.values():
+        capped |= {v for v, wv in w.items() if wv == ONE}
+        u, w = _allocate(children, order, budget, capped)
+    return TreeAllocation(root=root, budget=budget, total=sum(u.values(), ZERO),
+                          u=u, w=w, children=children, optimum=optimum)
 
 
 def _tree_derivation(alloc: TreeAllocation, labels: Sequence[int],
@@ -283,7 +272,10 @@ def certify_tree(g: Graph) -> Certificate:
     """Prove an improving witness for a connected tree.
 
     The tree is rooted at vertex 1: the optimal sum does not depend on the
-    root.  The witness maximizes the sum, ties broken lexicographically.
+    root.  The witness maximizes the sum, ties broken lexicographically,
+    unless that optimum needs a closed step (w = 1): then the edges that
+    need one are capped at 1 - _OPEN_MARGIN, and the sum falls a little
+    short of the optimum.
     """
     g.require_connected()
     if not is_tree(g):
@@ -501,8 +493,8 @@ def _join_step(cut: int, before: Fraction, up: Fraction, gain: Fraction,
 def certify_contraction(g_prime: Graph, core_cert: Certificate) -> Certificate:
     """Extend a core certificate over the pendant trees of g_prime.
 
-    Each pendant tree is re-allocated by the tree LP with its root's core
-    exponent as the output budget; the sum can only grow.
+    Each pendant tree is re-allocated by `tree_budget_lp` with its root's
+    core exponent as the output budget; the sum can only grow.
     """
     g_prime.require_connected()
     if core_cert.status == UNKNOWN:
@@ -560,7 +552,7 @@ def certify_contraction(g_prime: Graph, core_cert: Certificate) -> Certificate:
 def certify(g: Graph, master_seed: int = 0, probe_seeds: int = 12) -> Certificate:
     """Certify an improving witness for any connected graph.
 
-    Pipeline: trees go through the tree LP; otherwise pendant trees are
+    Pipeline: trees go through `certify_tree`; otherwise pendant trees are
     stripped, the 2-core is block-decomposed, every block is certified
     (single edges and triangles exactly, other blocks conditionally via the
     regularity hull after a rank probe), the block tree is folded with

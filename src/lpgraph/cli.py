@@ -19,15 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import certificates, grids, rigidity
-from .estimator import (
-    kernel_decay_check,
-    make_kernel,
-    form_evaluate,
-    ratio_experiment,
-    scaling_experiment,
-    test_family,
-)
+from . import certificates, rigidity
 from .exponents import (
     chain3_constructed_region,
     chain3_missing_endpoints,
@@ -45,7 +37,6 @@ from .rigidity import (
     RealizationNotFound,
     degenerate_cycle_start,
     regularity_probe,
-    solve_realization,
 )
 
 USAGE_ERROR = 1
@@ -264,13 +255,9 @@ def cmd_realize(args) -> int:
         return USAGE_ERROR
     result = report.to_json_dict()
     if args.seeds > 0:
-        try:
-            x = solve_realization(g, seed=rigidity._mix_seed(args.seed, 0))
-            result["example_realization"] = x.to_json()
-            result["example_residual"] = x.residual(g)
-        except RealizationNotFound as exc:
-            result["example_realization"] = None
-            result["example_residual"] = exc.best_residual
+        x = report.example
+        result["example_realization"] = None if x is None else x.to_json()
+        result["example_residual"] = report.example_residual
     payload = _header("realize", {
         "graph": args.graph, "seeds": args.seeds, "seed": args.seed,
         "at": args.at, "seed_near_collinear": bool(args.seed_near_collinear)})
@@ -308,6 +295,11 @@ _PRESETS = {
 
 def cmd_estimate(args) -> int:
     import json as _json
+
+    # the estimator loads scipy.fft, which no other subcommand needs
+    from . import grids
+    from .estimator import (form_evaluate, kernel_decay_check, make_kernel,
+                            ratio_experiment, scaling_experiment, test_family)
 
     if not args.config and not args.preset:
         sys.stderr.write("error: estimate needs --preset or --config\n")

@@ -168,6 +168,9 @@ class RigidityReport:
     failed_seeds: int
     note: str = ("sampling cannot prove regularity; this verdict only "
                  "describes the realizations that were found")
+    # seed stream 0's realization and residual (best residual if not found)
+    example: Realization | None = None
+    example_residual: float | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -210,11 +213,18 @@ def regularity_probe(g: Graph, num_seeds: int, master_seed: int = 0,
         else:
             failed += 1
 
+    example = example_residual = None
     for k in range(num_seeds):
         try:
-            record(solve_realization(g, seed=_mix_seed(master_seed, k)))
-        except RealizationNotFound:
+            x = solve_realization(g, seed=_mix_seed(master_seed, k))
+        except RealizationNotFound as exc:
             failed += 1
+            if k == 0:
+                example_residual = exc.best_residual
+            continue
+        if k == 0:
+            example, example_residual = x, x.residual(g)
+        record(x)
 
     expected = g.num_edges
     if found == 0:
@@ -227,6 +237,7 @@ def regularity_probe(g: Graph, num_seeds: int, master_seed: int = 0,
         graph=g, samples=found, ranks=ranks, expected_rank=expected,
         manifold_dim=2 * g.n - g.num_edges, verdict=verdict,
         singular_values=spectra, failed_seeds=failed,
+        example=example, example_residual=example_residual,
     )
 
 

@@ -1,8 +1,8 @@
 """Exact linear programming over the rationals.
 
 Two-phase tableau simplex with Bland's rule, used for convex-hull
-membership, budget allocation in tree certificates, and join splits.  No
-floating point enters any decision.
+membership, block placements and join splits.  No floating point enters
+any decision.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968), done per row:
 each row is a list of Python ints over one positive row denominator,

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from lpgraph import certificates, simplex
 from lpgraph.certificates import (
     Certificate,
     CertificateError,
@@ -38,6 +39,7 @@ from lpgraph.graphs import (
     two_block_figure,
     two_triangles,
 )
+from lpgraph.simplex import solve_lp
 
 PROFILE = improving_profile_circle(2)
 
@@ -50,7 +52,7 @@ PROFILE = improving_profile_circle(2)
 def _oracle_tree_max(g, root, budget=F(1), denom=24):
     from lpgraph.certificates import _rooted
 
-    children = _rooted(g, root)
+    _, children = _rooted(g, root)
     prof = PROFILE
 
     def best(node, b):
@@ -71,6 +73,48 @@ def _oracle_tree_max(g, root, budget=F(1), denom=24):
         return top
 
     return best(root, budget)
+
+
+def _lp_tree_oracle(g, root, budget):
+    """(u, w, total) of the tree allocation as an exact LP on solve_lp.
+
+    Variables u_1..u_n, then w_v and b_v for every non-root v: each vertex
+    splits its budget b_v between u_v and its child edges, b_v lies under
+    the profile at w_v, and everything stays in [0, 1].  Maximize sum u,
+    then u_1, u_2, ... in turn, pinning each optimum before the next.
+    """
+    from lpgraph.certificates import _rooted
+
+    _, children = _rooted(g, root)
+    non_root = [v for v in range(1, g.n + 1) if v != root]
+    w_idx = {v: g.n + i for i, v in enumerate(non_root)}
+    b_idx = {v: g.n + len(non_root) + i for i, v in enumerate(non_root)}
+
+    def row(coefs):
+        out = [F(0)] * (g.n + 2 * len(non_root))
+        for i, c in coefs.items():
+            out[i] = F(c)
+        return out
+
+    def split(v):  # u_v plus the budgets of v's child edges
+        return {v - 1: 1, **{w_idx[c]: 1 for c in children[v]}}
+
+    rows = [(row(split(root)), "==", budget)]
+    for v in non_root:
+        rows.append((row({**split(v), b_idx[v]: -1}), "==", F(0)))
+        rows += [(row({b_idx[v]: 1, w_idx[v]: -m}), "<=", q)
+                 for m, q in PROFILE.segments()]
+        rows.append((row({w_idx[v]: 1}), "<=", F(1)))
+    rows += [(row({v - 1: 1}), "<=", F(1)) for v in range(1, g.n + 1)]
+    objectives = [row({v - 1: 1 for v in range(1, g.n + 1)})]
+    objectives += [row({v - 1: 1}) for v in range(1, g.n + 1)]
+    for obj in objectives:
+        res = solve_lp(obj, rows, maximize=True)
+        assert res.optimal
+        rows.append((obj, "==", res.value))
+    u = {v: res.x[v - 1] for v in range(1, g.n + 1)}
+    w = {v: res.x[w_idx[v]] for v in non_root}
+    return u, w, sum(u.values())
 
 
 @pytest.mark.parametrize("g,expected", [
@@ -132,12 +176,18 @@ def test_single_vertex_is_unknown():
 
 
 @st.composite
-def rooted_trees(draw):
-    n = draw(st.integers(2, 12))
+def labelled_trees(draw, max_n=12):
+    n = draw(st.integers(2, max_n))
     pruefer = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
     edges = (tuple(sorted((u + 1, v + 1)))
              for u, v in nx.from_prufer_sequence(pruefer).edges())
-    return Graph(n, tuple(sorted(edges))), draw(st.integers(1, n))
+    return Graph(n, tuple(sorted(edges)))
+
+
+@st.composite
+def rooted_trees(draw, max_n=12):
+    g = draw(labelled_trees(max_n))
+    return g, draw(st.integers(1, g.n))
 
 
 @settings(max_examples=100, deadline=None)
@@ -146,7 +196,60 @@ def test_tree_optimum_is_root_independent(tree_and_root):
     # certify_tree roots every tree at vertex 1; that is sound only because
     # the optimal witness sum does not depend on the root
     g, r = tree_and_root
-    assert tree_budget_lp(g, r, F(1)).total == tree_budget_lp(g, 1, F(1)).total
+    assert tree_budget_lp(g, r, F(1)).optimum == tree_budget_lp(g, 1, F(1)).optimum
+
+
+@settings(max_examples=100, deadline=None)
+@given(rooted_trees(max_n=10), st.integers(0, 12))
+def test_tree_allocation_matches_the_lp_oracle(tree_and_root, twelfths):
+    g, r = tree_and_root
+    u, w, total = _lp_tree_oracle(g, r, F(twelfths, 12))
+    # an optimum with a closed step is capped below it, unlike the LP
+    assume(F(1) not in w.values())
+    alloc = tree_budget_lp(g, r, F(twelfths, 12))
+    assert (alloc.u, alloc.w, alloc.total) == (u, w, total)
+    assert alloc.optimum == total
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_trees(max_n=30))
+def test_every_tree_certifies_and_replays(g):
+    cert = certify_tree(g)
+    assert cert.status == "proven" and cert.total > 1
+    assert replay(cert).ok
+
+
+# the lexicographic optimum of these trees, rooted at vertex 1, routes the
+# root's whole budget into one edge; capping that edge below 1 costs 2**-20
+@pytest.mark.parametrize("n,edges,optimum", [
+    (11, "1-6 2-10 3-7 4-7 5-10 6-7 6-9 6-10 8-9 9-11", F(4)),
+    (16, "1-4 2-4 2-5 3-16 4-6 4-8 4-12 4-15 6-9 7-12 8-10 10-13 11-12 12-14 "
+         "15-16", F(14, 3)),
+])
+def test_closed_step_optimum_is_capped(n, edges, optimum):
+    g = Graph(n, tuple(tuple(int(v) for v in e.split("-")) for e in edges.split()))
+    alloc = tree_budget_lp(g, 1, F(1))
+    assert alloc.optimum == optimum
+    assert all(wv < 1 for wv in alloc.w.values())
+    cert = certify_tree(g)
+    assert cert.status == "proven"
+    assert cert.total == optimum - F(1, 1 << 20)
+    assert replay(cert).ok
+
+
+def test_tree_allocation_solves_no_lp(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(certificates, "solve_lp", counted)
+    monkeypatch.setattr(simplex, "solve_lp", counted)
+    for key in ("tree n=13", "tree n=16"):
+        assert certify(LARGER_CASES[key]).status == "proven"
+    assert tree_budget_lp(star(3), 2, F(1, 2)).total == F(3, 2)
+    assert calls == []
 
 
 @pytest.mark.parametrize("key,total,witness", [

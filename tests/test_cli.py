@@ -173,17 +173,41 @@ def test_missing_file_is_usage_error(tmp_path):
     assert code == 1
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # the rank probes solve with numpy alone; loading scipy.optimize cost
-    # every CLI call about 0.2 s
+def test_cli_import_leaves_out_scipy():
+    # the rank probes solve with numpy alone and the estimator, which loads
+    # scipy.fft, is imported on first use; scipy.optimize cost every CLI call
+    # about 0.2 s and scipy.fft about 0.4 s
     import lpgraph
 
     src = str(Path(lpgraph.__file__).resolve().parent.parent)
-    code = "import sys, lpgraph.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, lpgraph, lpgraph.cli, lpgraph.certificates; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print(callable(lpgraph.form_evaluate), callable(lpgraph.make_kernel))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["[]", "True True"]
+
+
+def test_realize_solves_each_seed_once(tmp_path, monkeypatch):
+    # the example realization is the probe's stream 0, not a second solve
+    from lpgraph import cli, rigidity
+
+    real = rigidity.solve_realization
+    calls = []
+
+    def counted(g, seed, **kwargs):
+        calls.append(seed)
+        return real(g, seed=seed, **kwargs)
+
+    monkeypatch.setattr(rigidity, "solve_realization", counted)
+    monkeypatch.setattr(cli, "solve_realization", counted, raising=False)
+    code, out = run(["realize", str(GRAPHS / "c6.graph"), "--seeds", "12"], tmp_path)
+    assert code == 0
+    assert len(calls) == 12
+    res = json.loads(out.read_text())["result"]
+    assert res["verdict"] == "regular-at-all-samples" and res["samples"] == 12
+    assert res["example_residual"] < rigidity.RESIDUAL_TOL
 
 
 def test_estimate_decay_preset(tmp_path):
