@@ -20,7 +20,11 @@ The triangle form is a Radon pair: the inner product of f with the
 bilinear rotation transform of (g, h) at theta = +-pi/3.  Its form path
 never builds the transform: at each kernel node u it forms f * S_u g once,
 shares it between the two rotations, and pairs it with each rotated
-h-shift through a fused cubic inner product.
+h-shift through a fused cubic inner product.  The direct quadrature forms
+the same product at each outer node; the lens nodes around one circle
+crossing lie within a few cells of each other, so their h-shift inner
+products are read off one correlation of the product with h's spline
+coefficients over the box of lags they span.
 """
 
 from __future__ import annotations
@@ -336,7 +340,10 @@ def _direct_triangle(g: Graph, fields: Sequence[GridField],
 
     Outer polar nodes on the first kernel annulus; for each node the inner
     double shell is integrated in annular offset coordinates around the two
-    exact circle intersections, with the transversality Jacobian.
+    exact circle intersections, with the transversality Jacobian.  The
+    lens nodes of one crossing lie within a few cells of each other, so
+    their h-shift inner products with P = f * S_u g are read off one spline
+    correlation (`grids.cubic_inner_sum`): two per outer node.
     """
     f, gg, hh = fields
     for fld in fields:
@@ -351,7 +358,7 @@ def _direct_triangle(g: Graph, fields: Sequence[GridField],
     h2 = f.h ** 2
 
     # radial nodes r with weight w_u, and the lens nodes (w_lens, d, perp) of
-    # each: the two circle crossings sit at d u +- perp u_perp
+    # each as arrays: the two circle crossings sit at d u +- perp u_perp
     radial = []
     for a in range(n_radial):
         r = 1.0 + eps * tu[a]
@@ -369,20 +376,18 @@ def _direct_triangle(g: Graph, fields: Sequence[GridField],
                 jac = (R1 * R2) / (r * perp)
                 w_lens = (bl[b] * wl[b] / TWO_PI) * (bl[c] * wl[c] / TWO_PI) * jac
                 lens.append((w_lens, d, perp))
-        radial.append((r, w_u, lens))
+        radial.append((r, w_u, np.array(lens).reshape(-1, 3).T))
 
     total = 0.0
     for mi in range(m_alpha):
         th = TWO_PI * (mi + 0.5) / m_alpha
         ux, uy = math.cos(th), math.sin(th)
-        for r, w_u, lens in radial:
+        for r, w_u, (w_lens, d, perp) in radial:
             P = f.values * grids.shift_cubic(gp, f.h, r * ux, r * uy)
             inner_sum = 0.0
-            for w_lens, d, perp in lens:
-                for sgn in (1.0, -1.0):
-                    vx = d * ux - sgn * perp * uy
-                    vy = d * uy + sgn * perp * ux
-                    inner_sum += w_lens * grids.cubic_inner(P, hp, f.h, vx, vy)
+            for sgn in (1.0, -1.0):
+                v = np.stack((d * ux - sgn * perp * uy, d * uy + sgn * perp * ux), axis=1)
+                inner_sum += grids.cubic_inner_sum(P, hp, f.h, v, w_lens)
             total += w_u * inner_sum * h2
     return float(total)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class MarginError(ValueError):
@@ -269,6 +270,47 @@ def cubic_inner(P: np.ndarray, prefiltered: CubicCoeffs, h: float,
             continue
         total += w * np.dot(flat, tmp[2 - k:2 - k + n].ravel())
     return float(total)
+
+
+def cubic_inner_sum(P: np.ndarray, prefiltered: CubicCoeffs, h: float,
+                    offsets, weights) -> float:
+    """sum over k of weights[k] * cubic_inner(P, prefiltered, h, *offsets[k]),
+    read off one correlation of P with the coefficients.
+
+    Tap (kx, ky) of the shift by (dx, dy) reads the padded coefficients
+    through the n x n window at the integer lag (p - j0 - ky, p - i0 - kx).
+    The 4 x 4 tap weights of every offset are collected onto their lags
+    first, so each lag of the box that the offsets span is correlated with P
+    once (Unser, IEEE SPM 16(6), 1999).  Clustered offsets share most lags;
+    the cost grows with the box, not with the number of offsets.
+    """
+    n, a, p = prefiltered.n, prefiltered.padded, prefiltered.pad
+    s = np.asarray(offsets, dtype=float).reshape(-1, 2) / h
+    w = np.asarray(weights, dtype=float).ravel()
+    base = np.floor(s)
+    cell = base.astype(int)  # (i0, j0) of each offset
+    # as in _cubic_x_pass: the taps of an offset needing more than n + 2
+    # cells of padding all miss the grid
+    need = np.maximum(cell + 2, 1 - cell).max(axis=1)
+    hit = need <= n + 2
+    if not hit.any():
+        return 0.0
+    s, base, cell, w, need = s[hit], base[hit], cell[hit], w[hit], int(need[hit].max())
+    if need > p:
+        a = np.pad(a[p:p + n, p:p + n], need)
+        p = need
+    # tap k = -1..2 reads lag p - i0 - k: reversed weights in ascending lags
+    wx = np.array(_bspline3_weights(s[:, 0] - base[:, 0]))[::-1]
+    wy = np.array(_bspline3_weights(s[:, 1] - base[:, 1]))[::-1]
+    lag = p - 2 - cell  # lowest lag of each offset, (x, y)
+    lo = lag.min(axis=0)
+    bw, bh = lag.max(axis=0) - lo + 4
+    W = np.zeros((bh, bw))
+    for k, (lx, ly) in enumerate(lag - lo):
+        W[ly:ly + 4, lx:lx + 4] += w[k] * np.multiply.outer(wy[:, k], wx[:, k])
+    box = a[lo[1]:lo[1] + bh + n - 1, lo[0]:lo[0] + bw + n - 1]
+    corr = np.einsum("ij,abij->ab", P, sliding_window_view(box, (n, n)))
+    return float(np.sum(W * corr))
 
 
 # norms and inner products --------------------------------------------------

@@ -22,6 +22,8 @@ RANK_TOL_SHIFT = 2.0 ** -40
 MAX_NFEV = 200
 # Monte Carlo samples drawn per random stream; a run's value depends on it
 MC_BATCH = 100_000
+# equal buckets of the guide table that inverts the root factor's cell masses
+GUIDE_BUCKETS = 2 ** 16
 
 
 class CoincidentEndpointsError(ValueError):
@@ -275,6 +277,39 @@ class LerayEstimate:
         }
 
 
+def _cdf_guide(cum: np.ndarray) -> np.ndarray:
+    """Guide table for inverting the nondecreasing cumulative sums `cum`
+    (Chen and Asau, AIIE Trans. 6, 1974): entry b counts the entries of
+    `cum` whose bucket lies below b, for b = 0 .. GUIDE_BUCKETS."""
+    first = np.zeros(GUIDE_BUCKETS + 1, dtype=np.intp)
+    np.cumsum(np.bincount(_guide_bucket(cum, cum[-1]), minlength=GUIDE_BUCKETS),
+              out=first[1:])
+    return first
+
+
+def _guide_bucket(x: np.ndarray, total: float) -> np.ndarray:
+    """Bucket of each x in [0, total] among GUIDE_BUCKETS equal ones: a
+    nondecreasing function of x, with x = total clipped to the last bucket."""
+    b = (x / total * GUIDE_BUCKETS).astype(np.intp)
+    return np.minimum(b, GUIDE_BUCKETS - 1, out=b)
+
+
+def _invert_cdf(cum: np.ndarray, first: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cum, draws, side="right"), exactly.
+
+    The bucket is monotone in its argument, so an entry of `cum` in a lower
+    bucket than a draw lies below it and one in a higher bucket lies above.
+    A draw whose bucket holds no entry therefore has exactly first[b]
+    entries at or below it; the others (about 1% of the draws of a smooth
+    factor) fall back to the binary search.
+    """
+    b = _guide_bucket(draws, cum[-1])
+    idx = first[b]
+    slow = np.flatnonzero(first[b + 1] != idx)
+    idx[slow] = np.searchsorted(cum, draws[slow], side="right")
+    return idx
+
+
 def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
                   master_seed: int) -> LerayEstimate:
     """Monte-Carlo integral of prod f_i(x_i) against the box-window shell.
@@ -282,10 +317,12 @@ def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
     The shell factor is (2 eps)^{-|E|} prod 1[|dist - 1| <= eps] over the
     edges.  Sampling walks a spanning tree: the first point is drawn from
     the first function's cell-mass distribution (its factor is consumed by
-    the sampler at cell resolution), every child is drawn in the annulus
-    shell around its parent (importance weight 2 pi r per tree edge); the
-    remaining edge windows are evaluated as-is.  Deterministic for a fixed
-    master seed.
+    the sampler at cell resolution, through a guide table over the
+    cumulative cell masses), every child is drawn in the annulus shell
+    around its parent (importance weight 2 pi r per tree edge); the
+    remaining edge windows are evaluated as-is.  Each batch of MC_BATCH
+    samples draws from its own random stream and frees its arrays before
+    the next one starts.  Deterministic for a fixed master seed.
     """
     g.require_connected()
     if epsilon <= 0:
@@ -306,26 +343,20 @@ def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
     f1 = functions[0]
     flat = f1.values.ravel()
     cum = np.cumsum(np.abs(flat))
+    guide = _cdf_guide(cum)
     mass1 = float(cum[-1]) * f1.h ** 2
     ncols = f1.size
 
-    total = 0.0
-    total_sq = 0.0
-    hits = 0
-    done = 0
-    stream = 0
-    while done < samples:
-        m = min(MC_BATCH, samples - done)
-        rng = np.random.default_rng([master_seed, stream])
-        stream += 1
-        pts = np.empty((m, g.n, 2))
+    def batch(rng: np.random.Generator, m: int) -> tuple[float, float, int]:
+        """(sum, sum of squares, hits) of m weighted samples."""
+        pts = np.empty((g.n, 2, m))  # one contiguous row per vertex and axis
         # root point from the first factor's cell-mass distribution
         draws = rng.random(m) * cum[-1]
-        idx = np.searchsorted(cum, draws, side="right")
+        idx = _invert_cdf(cum, guide, draws)
         idx = np.minimum(idx, flat.size - 1)
         jj, ii = np.divmod(idx, ncols)
-        pts[:, 0, 0] = -f1.L + ii * f1.h + (rng.random(m) - 0.5) * f1.h
-        pts[:, 0, 1] = -f1.L + jj * f1.h + (rng.random(m) - 0.5) * f1.h
+        pts[0, 0] = -f1.L + ii * f1.h + (rng.random(m) - 0.5) * f1.h
+        pts[0, 1] = -f1.L + jj * f1.h + (rng.random(m) - 0.5) * f1.h
         w = np.sign(flat[idx]) * mass1
         for v in order[1:]:
             pv = parent[v]
@@ -333,27 +364,33 @@ def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
             # stratified angles (random stratum pairing) cut the variance of
             # the angular hit windows without biasing the mean
             th = (rng.permutation(m) + rng.random(m)) * (2.0 * math.pi / m)
-            pts[:, v - 1, 0] = pts[:, pv - 1, 0] + r * np.cos(th)
-            pts[:, v - 1, 1] = pts[:, pv - 1, 1] + r * np.sin(th)
+            pts[v - 1, 0] = pts[pv - 1, 0] + r * np.cos(th)
+            pts[v - 1, 1] = pts[pv - 1, 1] + r * np.sin(th)
             w *= 2.0 * math.pi * r  # kernel (2eps)^-1 vs density (2pi 2eps r)^-1
         ok = np.ones(m, dtype=bool)
         for (i, j) in non_tree:
-            d = np.linalg.norm(pts[:, i - 1] - pts[:, j - 1], axis=1)
-            inside = np.abs(d - 1.0) <= epsilon
-            ok &= inside
+            dx, dy = pts[i - 1] - pts[j - 1]
+            d = np.sqrt(dx * dx + dy * dy)  # rounded as np.linalg.norm rounds it
+            ok &= np.abs(d - 1.0) <= epsilon
         w = np.where(ok, w, 0.0)
-        hits += int(np.sum(ok))
         w *= (2.0 * epsilon) ** (-len(non_tree))
         # rejected weights are exactly zero: sample the factors only where
         # every window fired
         acc = np.flatnonzero(ok)
         wa = w[acc]
         for v in range(2, g.n + 1):
-            wa *= functions[v - 1].sample_bilinear(pts[acc, v - 1])
+            wa *= functions[v - 1].sample_bilinear(pts[v - 1][:, acc].T)
         w[acc] = wa
-        total += float(np.sum(w))
-        total_sq += float(np.sum(w * w))
-        done += m
+        return float(np.sum(w)), float(np.sum(w * w)), int(np.sum(ok))
+
+    total = total_sq = 0.0
+    hits = 0
+    for stream, done in enumerate(range(0, samples, MC_BATCH)):
+        rng = np.random.default_rng([master_seed, stream])
+        s, s2, k = batch(rng, min(MC_BATCH, samples - done))
+        total += s
+        total_sq += s2
+        hits += k
 
     if hits == 0:
         raise ZeroAcceptanceError(

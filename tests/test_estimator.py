@@ -406,6 +406,74 @@ def test_cubic_inner_equals_sum_of_product():
             assert abs(got - want) <= 1e-12 * float(np.sum(np.abs(prod)))
 
 
+@settings(max_examples=80, deadline=None)
+@given(points=st.sampled_from([17, 25, 33]),
+       reach=st.sampled_from([0.0, 0.4]),
+       center=st.tuples(st.floats(-1.3, 1.3), st.floats(-1.3, 1.3)),
+       spread=st.sampled_from([0.0, 0.4, 1.5, 6.0]),
+       count=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cubic_inner_sum_equals_weighted_cubic_inners(points, reach, center,
+                                                      spread, count, seed):
+    # offsets cluster around a centre anywhere from the grid's middle to past
+    # its edge (in units of n + 3 cells, where every tap misses); at reach 0
+    # the padding holds 3 cells, so most offsets pad a temporary copy
+    rng = np.random.default_rng(seed)
+    L = 2.0
+    h = grids.grid_spacing(L, points)
+    g = GridField(L, h, rng.standard_normal((points, points)))
+    P = rng.standard_normal((points, points))
+    pg = grids.cubic_prefilter(g, reach)
+    cells = np.array(center) * (points + 3) + spread * rng.uniform(-1, 1, (count, 2))
+    offsets = cells * h
+    weights = rng.uniform(-1.0, 1.0, count)
+    want = sum(w * grids.cubic_inner(P, pg, h, dx, dy)
+               for (dx, dy), w in zip(offsets, weights))
+    scale = sum(abs(w) * float(np.sum(np.abs(P * grids.shift_cubic(pg, h, dx, dy))))
+                for (dx, dy), w in zip(offsets, weights))
+    got = grids.cubic_inner_sum(P, pg, h, offsets, weights)
+    assert type(got) is float
+    assert abs(got - want) <= 1e-12 * scale
+    if scale == 0.0:
+        assert got == 0.0
+
+
+def test_cubic_inner_sum_of_offsets_off_the_grid_is_zero():
+    L, h = 2.0, grids.grid_spacing(2.0, 17)
+    g = field_family("gaussian", L, h, width=0.5)
+    P = np.ones((17, 17))
+    pg = grids.cubic_prefilter(g, 0.0)
+    far = [(20 * h, 0.0), (0.0, -20 * h), (-19.5 * h, 19.5 * h)]
+    assert grids.cubic_inner_sum(P, pg, h, far, [1.0, 2.0, 3.0]) == 0.0
+    assert grids.cubic_inner_sum(P, pg, h, np.zeros((0, 2)), []) == 0.0
+    # one offset on the grid next to the far ones reads only its own taps
+    near = far + [(0.3 * h, -0.7 * h)]
+    assert math.isclose(grids.cubic_inner_sum(P, pg, h, near, [1.0, 2.0, 3.0, 0.5]),
+                        0.5 * grids.cubic_inner(P, pg, h, 0.3 * h, -0.7 * h),
+                        rel_tol=1e-13)
+
+
+def test_direct_triangle_reads_lens_sums_not_single_inners(monkeypatch):
+    calls = {"cubic_inner": 0, "cubic_inner_sum": 0}
+
+    def counted(name):
+        real = getattr(grids, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(grids, name, counted(name))
+    fs = _moved_triangle_gaussians()
+    k = make_kernel(1 / 16, 128, radial_nodes=3)
+    form_evaluate(triangle(), fs, k, method="direct",
+                  direct_params=dict(m_alpha=8, n_radial=3))
+    # one read per circle crossing of every outer node
+    assert calls == {"cubic_inner": 0, "cubic_inner_sum": 2 * 8 * 3}
+
+
 def _moved_triangle_gaussians(L=3.0, N=65):
     h = 2 * L / (N - 1)
     r0 = 1 / math.sqrt(3)

@@ -300,6 +300,40 @@ def test_mc_linear_in_each_factor():
     assert math.isclose(est2.value, 2.0 * est1.value, rel_tol=1e-12)
 
 
+def _guide_cases():
+    rng = np.random.default_rng(11)
+    smooth = field_family("gaussian", 2.6, grids.grid_spacing(2.6, 97),
+                          center=(0.3, -0.2), width=0.15).values.ravel()
+    sparse = rng.standard_normal(5000) * (rng.random(5000) < 0.02)
+    one = np.zeros(300)
+    one[137] = 2.5
+    return {
+        "smooth": smooth,
+        "zero plateaus and negatives": sparse,
+        "all mass in one cell": one,
+        "single cell": np.array([-3.0]),
+        "mass at both ends": np.r_[1.0, np.zeros(100), -1e-300, np.zeros(50), 7.0],
+        "wide range": rng.standard_normal(2000) * 10.0 ** rng.integers(-200, 5, 2000),
+    }
+
+
+@pytest.mark.parametrize("name", list(_guide_cases()))
+def test_guide_table_inverts_like_searchsorted(name):
+    from lpgraph.rigidity import GUIDE_BUCKETS, _cdf_guide, _invert_cdf
+
+    cum = np.cumsum(np.abs(_guide_cases()[name]))
+    total = cum[-1]
+    edges = np.arange(GUIDE_BUCKETS + 1) * (total / GUIDE_BUCKETS)
+    draws = np.concatenate([
+        np.random.default_rng(3).random(200_000) * total,
+        cum, np.nextafter(cum, 0.0), np.nextafter(cum, np.inf),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        [0.0, total]])
+    draws = draws[(draws >= 0.0) & (draws <= total)]
+    got = _invert_cdf(cum, _cdf_guide(cum), draws)
+    assert np.array_equal(got, np.searchsorted(cum, draws, side="right"))
+
+
 def test_mc_results_pinned():
     # (value, std_error, shell_hits) recorded before the factors were sampled
     # at accepted points only; a partial last batch is included
