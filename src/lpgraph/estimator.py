@@ -273,7 +273,7 @@ def _tree_factor(g: Graph, fields: Sequence[GridField],
     kernel = k.raster(fields[0]) if use_fft else None
     partial: dict[int, np.ndarray] = {}
     for v in reversed(order):
-        vals = fields[v - 1].values.copy()
+        vals = fields[v - 1].values
         kids = [w for w in adj[v] if parent.get(w) == v]
         for w in kids:
             vals = vals * partial.pop(w)
@@ -471,7 +471,7 @@ def test_family(kind: str, L: float, h: float, delta: float | None = None,
             L, h, lambda X, Y: ((X ** 2 + Y ** 2 >= lo ** 2)
                                 & (X ** 2 + Y ** 2 <= hi ** 2)) * 1.0)
     if kind == "constant":
-        return field_from_function(L, h, lambda X, Y: np.ones_like(X),
+        return field_from_function(L, h, lambda X, Y: np.ones((Y.size, X.size)),
                                    boundary_free=True)
     if kind == "gaussian":
         if width is None or width <= 0:

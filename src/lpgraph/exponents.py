@@ -88,19 +88,13 @@ class ImprovingProfile:
             raise ValueError("breakpoint abscissae must be strictly increasing")
         if bps[0] != (ZERO, ZERO) or bps[-1] != (ONE, ONE):
             raise ValueError("profile must run from (0,0) to (1,1)")
-        slopes = self.segment_slopes()
+        slopes = [m for m, _ in self.segments()]
         for a, b in zip(slopes, slopes[1:]):
             if b > a:
                 raise ValueError("profile must be concave")
         for u, v in bps:
             if v < u:
                 raise ValueError("profile must dominate the diagonal")
-
-    def segment_slopes(self) -> list[Fraction]:
-        out = []
-        for (u0, v0), (u1, v1) in zip(self.breakpoints, self.breakpoints[1:]):
-            out.append((v1 - v0) / (u1 - u0))
-        return out
 
     def value(self, u) -> Fraction:
         u = rat(u)

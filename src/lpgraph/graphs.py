@@ -2,7 +2,8 @@
 
 Vertices are 1-indexed.  Two decompositions drive the certificate engine:
 iterated leaf removal (2-core plus pendant trees) and the biconnected
-block/cut-vertex decomposition.
+block/cut-vertex decomposition, which one iterative Hopcroft-Tarjan
+depth-first search finds without recursion.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import networkx as nx
 
 Edge = tuple[int, int]
 
@@ -77,12 +76,6 @@ class Graph:
     def require_connected(self) -> "Graph":
         bfs_tree(self, 1)
         return self
-
-    def to_networkx(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(1, self.n + 1))
-        g.add_edges_from(self.edges)
-        return g
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
@@ -165,11 +158,7 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:
         raise GraphFormatError("missing 'n <count>' header")
-    try:
-        g = Graph(n, tuple(edges))
-    except GraphFormatError:
-        raise
-    return g.require_connected()
+    return Graph(n, tuple(edges)).require_connected()
 
 
 def is_tree(g: Graph) -> bool:
@@ -214,62 +203,43 @@ def contract_pendant_trees(g: Graph) -> ContractionDecomposition:
     """
     g.require_connected()
     adj = {v: set(ws) for v, ws in g.adjacency().items()}
-    alive = set(range(1, g.n + 1))
     parent: dict[int, int] = {}
-    order: list[int] = []
-    leaves = sorted(v for v in alive if len(adj[v]) <= 1)
-    queue = list(leaves)
-    while queue:
-        v = queue.pop(0)
-        if v not in alive or len(adj[v]) > 1:
-            continue
-        if len(adj[v]) == 0:
-            # n == 1, or the last two vertices of a tree collapse
-            alive.discard(v)
-            order.append(v)
-            continue
-        (w,) = adj[v]
-        parent[v] = w
-        alive.discard(v)
-        order.append(v)
-        adj[w].discard(v)
-        adj[v] = set()
-        if len(adj[w]) == 1 and w in alive:
-            queue.append(w)
-        queue.sort()
+    removed: list[int] = []
+    # a vertex is pushed once, when its degree first drops to at most one
+    stack = [v for v, ws in adj.items() if len(ws) <= 1]
+    while stack:
+        v = stack.pop()
+        removed.append(v)
+        if adj[v]:  # empty for n == 1 and for the last vertex of a tree
+            (w,) = adj[v]
+            parent[v] = w
+            adj[w].discard(v)
+            if len(adj[w]) == 1:
+                stack.append(w)
 
-    core_vertices = tuple(sorted(alive))
+    gone = set(removed)
+    core_vertices = tuple(v for v in range(1, g.n + 1) if v not in gone)
     tree_flag = not core_vertices
-    core_set = set(core_vertices)
-    core_edges = tuple(e for e in g.edges if e[0] in core_set and e[1] in core_set)
+    core_edges = tuple(e for e in g.edges if e[0] not in gone and e[1] not in gone)
 
     pendants: tuple[PendantTree, ...] = ()
     if not tree_flag:
-        # walk parent pointers to the core to find each removed vertex's root
+        # a parent leaves after its children, so in reverse removal order
+        # it already knows its core root
         root_of: dict[int, int] = {}
-
-        def find_root(v: int) -> int:
-            path = []
-            while v not in core_set:
-                path.append(v)
-                v = parent[v]
-            for u in path:
-                root_of[u] = v
-            return v
-
         groups: dict[int, list[int]] = {}
-        for v in order:
-            r = find_root(v)
-            groups.setdefault(r, []).append(v)
-        plist = []
-        for r in sorted(groups):
-            verts = tuple(sorted(groups[r]))
-            vset = set(verts) | {r}
-            tedges = tuple(
-                e for e in g.edges if e[0] in vset and e[1] in vset and e not in core_edges
+        for v in reversed(removed):
+            p = parent[v]
+            root_of[v] = root_of.get(p, p)
+            groups.setdefault(root_of[v], []).append(v)
+        pendants = tuple(
+            PendantTree(
+                root=r,
+                vertices=tuple(sorted(groups[r])),
+                edges=tuple(sorted((min(v, parent[v]), max(v, parent[v])) for v in groups[r])),
             )
-            plist.append(PendantTree(root=r, vertices=verts, edges=tedges))
-        pendants = tuple(plist)
+            for r in sorted(groups)
+        )
 
     return ContractionDecomposition(
         graph=g,
@@ -312,49 +282,76 @@ class BlockDecomposition:
     block_tree: tuple[tuple[int, int, int], ...]
 
 
+def _block_edge_sets(g: Graph) -> list[list[Edge]]:
+    """Edge lists of the biconnected blocks, by one depth-first search from
+    vertex 1 that keeps its own stack of (vertex, parent, neighbour iterator)
+    frames and pushes tree and back edges on an edge stack (Hopcroft-Tarjan).
+    """
+    adj = g.adjacency()
+    disc = {1: 0}
+    low = {1: 0}
+    frames = [(1, 0, iter(adj[1]))]
+    edges: list[Edge] = []
+    blocks: list[list[Edge]] = []
+    while frames:
+        v, p, it = frames[-1]
+        for w in it:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                edges.append((v, w))
+                frames.append((w, v, iter(adj[w])))
+                break
+            if w != p and disc[w] < disc[v]:
+                edges.append((v, w))
+                low[v] = min(low[v], disc[w])
+        else:
+            frames.pop()
+            if frames:
+                u = frames[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    # u separates v's subtree: its edges close one block
+                    block = [edges.pop()]
+                    while block[-1] != (u, v):
+                        block.append(edges.pop())
+                    blocks.append(block)
+    return blocks
+
+
 def block_decomposition(g: Graph) -> BlockDecomposition:
     g.require_connected()
-    nxg = g.to_networkx()
     blocks = []
-    for edge_set in nx.biconnected_component_edges(nxg):
-        edges = tuple(sorted(tuple(sorted(e)) for e in edge_set))
+    for edge_list in _block_edge_sets(g):
+        edges = tuple(sorted((min(e), max(e)) for e in edge_list))
         verts = tuple(sorted({v for e in edges for v in e}))
         blocks.append(BlockEntry(vertices=verts, edges=edges))
     if not blocks:
         # single vertex, no edges
         blocks = [BlockEntry(vertices=(1,), edges=())]
     blocks.sort(key=lambda b: (b.vertices[0], len(b.vertices), b.vertices))
-    cuts = tuple(sorted(nx.articulation_points(nxg)))
+    blocks_at: dict[int, list[int]] = {}
+    for bi, b in enumerate(blocks):
+        for v in b.vertices:
+            blocks_at.setdefault(v, []).append(bi)
+    cut_blocks = {v: bs for v, bs in sorted(blocks_at.items()) if len(bs) > 1}
 
     # BFS over blocks through shared cut vertices; each block gets one parent
-    tree_edges: list[tuple[int, int, int]] = []
-    if len(blocks) > 1:
-        cut_to_blocks: dict[int, list[int]] = {}
-        for bi, b in enumerate(blocks):
-            for v in b.vertices:
-                if v in cuts:
-                    cut_to_blocks.setdefault(v, []).append(bi)
-        placed = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for bi in frontier:
-                for v in blocks[bi].vertices:
-                    if v not in cut_to_blocks:
-                        continue
-                    for bj in cut_to_blocks[v]:
-                        if bj not in placed:
-                            placed.add(bj)
-                            tree_edges.append((bi, v, bj))
-                            nxt.append(bj)
-            frontier = nxt
-        assert len(placed) == len(blocks)
+    shared: dict[tuple[int, int], int] = {}
+    block_adj: dict[int, list[int]] = {bi: [] for bi in range(len(blocks))}
+    for bi, b in enumerate(blocks):
+        for v in b.vertices:
+            for bj in cut_blocks.get(v, ()):
+                if bj != bi:
+                    shared[bi, bj] = v
+                    block_adj[bi].append(bj)
+    order, parent = _bfs(block_adj, 0)
+    assert len(order) == len(blocks)
 
     return BlockDecomposition(
         graph=g,
         blocks=tuple(blocks),
-        cut_vertices=cuts,
-        block_tree=tuple(tree_edges),
+        cut_vertices=tuple(cut_blocks),
+        block_tree=tuple((parent[bj], shared[parent[bj], bj], bj) for bj in order[1:]),
     )
 
 

@@ -105,10 +105,14 @@ class GridField:
 def field_from_function(L: float, h: float,
                         fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                         boundary_free: bool = False) -> GridField:
-    """Sample fn(x, y) at cell centers."""
+    """Sample fn(x, y) at cell centers.
+
+    fn gets x as one row and y as one column and must broadcast them to the
+    whole grid, so no full coordinate grid is ever allocated.
+    """
     m = int(round(L / h))
     ax = np.linspace(-m * h, m * h, 2 * m + 1)
-    X, Y = np.meshgrid(ax, ax)  # rows index y
+    X, Y = np.meshgrid(ax, ax, sparse=True)  # rows index y
     return GridField(m * h, h, fn(X, Y), boundary_free)
 
 

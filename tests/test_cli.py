@@ -173,20 +173,22 @@ def test_missing_file_is_usage_error(tmp_path):
     assert code == 1
 
 
-def test_cli_import_leaves_out_scipy():
+def test_cli_import_leaves_out_scipy_and_networkx():
     # the rank probes solve with numpy alone and the estimator, which loads
     # scipy.fft, is imported on first use; scipy.optimize cost every CLI call
-    # about 0.2 s and scipy.fft about 0.4 s
+    # about 0.2 s and scipy.fft about 0.4 s.  The blocks come from our own
+    # depth-first search, so networkx (about 0.2 s) is a test oracle only
     import lpgraph
 
     src = str(Path(lpgraph.__file__).resolve().parent.parent)
     code = ("import sys, lpgraph, lpgraph.cli, lpgraph.certificates; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx')); "
             "print(callable(lpgraph.form_evaluate), callable(lpgraph.make_kernel))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.split("\n")[:2] == ["[]", "True True"]
+    assert out.stdout.split("\n")[:3] == ["[]", "[]", "True True"]
 
 
 def test_realize_solves_each_seed_once(tmp_path, monkeypatch):

@@ -84,6 +84,23 @@ def test_average_of_thin_annulus_peaks_at_origin():
     assert af.values[mid, mid] > 0.95
 
 
+@pytest.mark.parametrize("kind,kw", [("ball", {"delta": 0.5}), ("annulus", {"delta": 0.25}),
+                                     ("constant", {}), ("gaussian", {"width": 0.3})])
+def test_families_sample_without_coordinate_grids(kind, kw):
+    # the sampled function sees one row of x and one column of y; full
+    # coordinate grids and their temporaries peaked at 3 to 4 result sizes
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        f = field_family(kind, 2.0, 2.0 / 256, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.values.shape == (513, 513)
+    assert peak < 2.5 * f.values.nbytes
+
+
 def test_margin_guard_raises():
     k = make_kernel(1 / 16, 512)
     f = field_family("ball", 1.5, 1.5 / 256, delta=1.4)

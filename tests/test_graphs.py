@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from lpgraph.graphs import (
     is_tree,
     parse_graph,
     path3,
+    relabel,
     single_edge,
     star,
     triangle,
@@ -144,15 +146,21 @@ def _connected_graphs_upto(n_max):
             yield g
 
 
-def test_blocks_are_biconnected_or_single_edges_exhaustive_small():
-    import networkx as nx
+def _nx(g):
+    """The networkx copy of g, for use as an oracle."""
+    h = nx.Graph()
+    h.add_nodes_from(range(1, g.n + 1))
+    h.add_edges_from(g.edges)
+    return h
 
+
+def test_blocks_are_biconnected_or_single_edges_exhaustive_small():
     for g in _connected_graphs_upto(5):
         bd = block_decomposition(g)
         for b in bd.blocks:
             bg, _ = b.graph()
             if not b.is_single_edge():
-                assert nx.is_biconnected(bg.to_networkx())
+                assert nx.is_biconnected(_nx(bg))
         # edge sets of blocks partition the edges
         all_edges = [e for b in bd.blocks for e in b.edges]
         assert sorted(all_edges) == list(g.edges)
@@ -182,6 +190,20 @@ def connected_graphs(draw, n_min=2, n_max=7):
 
 
 @st.composite
+def cactus_graphs(draw):
+    """Cycles and single edges glued at one vertex each, relabelled at
+    random: blocks that are cycles, with pendant trees hanging off them."""
+    n, edges = 1, []
+    for size in draw(st.lists(st.integers(2, 5), min_size=1, max_size=8)):
+        at = draw(st.integers(1, n))
+        ring = [at] + list(range(n + 1, n + size))
+        n += size - 1
+        edges += [(ring[0], ring[1])] if size == 2 else list(zip(ring, ring[1:] + ring[:1]))
+    perm = draw(st.permutations(range(1, n + 1)))
+    return Graph(n, tuple((perm[i - 1], perm[j - 1]) for i, j in edges))
+
+
+@st.composite
 def any_graphs(draw, n_max=9):
     """Graphs on 1..n with any edge subset, so often disconnected."""
     import itertools
@@ -195,10 +217,8 @@ def any_graphs(draw, n_max=9):
 @given(st.one_of(connected_graphs(), any_graphs()), st.data())
 @settings(max_examples=300, deadline=None)
 def test_bfs_tree_matches_networkx(g, data):
-    import networkx as nx
-
     root = data.draw(st.integers(1, g.n))
-    nxg = g.to_networkx()
+    nxg = _nx(g)
     reached = nx.node_connected_component(nxg, root)
     if len(reached) < g.n:
         with pytest.raises(DisconnectedGraphError) as err:
@@ -212,7 +232,7 @@ def test_bfs_tree_matches_networkx(g, data):
     assert parent == {c: p for p, c in edges}
 
 
-@given(connected_graphs())
+@given(st.one_of(connected_graphs(), cactus_graphs()))
 @settings(max_examples=120, deadline=None)
 def test_contraction_partitions_edges(g):
     dec = contract_pendant_trees(g)
@@ -222,11 +242,15 @@ def test_contraction_partitions_edges(g):
         return
     forest_edges = [e for t in dec.pendant_trees for e in t.edges]
     assert sorted(list(dec.core_edges) + forest_edges) == list(g.edges)
-    # pendant trees are vertex-disjoint
+    # pendant trees are vertex-disjoint, and each one, relabelled, is a tree
+    # through its root
     seen = set()
     for t in dec.pendant_trees:
         assert not (set(t.vertices) & seen)
         seen |= set(t.vertices)
+        tg, _ = relabel(t.all_vertices(), t.edges)
+        assert tg.is_connected() and is_tree(tg)
+        assert t.root in dec.core_vertices and any(t.root in e for e in t.edges)
     # idempotence: the core has no degree-one vertex
     if dec.core_vertices:
         core, _ = dec.core_graph()
@@ -238,8 +262,6 @@ def test_contraction_partitions_edges(g):
 @given(connected_graphs())
 @settings(max_examples=120, deadline=None)
 def test_block_tree_is_acyclic_and_spanning(g):
-    import networkx as nx
-
     bd = block_decomposition(g)
     assert len(bd.block_tree) == len(bd.blocks) - 1
     t = nx.Graph()
@@ -248,4 +270,27 @@ def test_block_tree_is_acyclic_and_spanning(g):
     assert nx.is_tree(t) or len(bd.blocks) == 1
     for b in bd.blocks:
         bg, _ = b.graph()
-        assert b.is_single_edge() or nx.is_biconnected(bg.to_networkx())
+        assert b.is_single_edge() or nx.is_biconnected(_nx(bg))
+
+
+@given(st.one_of(connected_graphs(n_max=9), cactus_graphs()))
+@settings(max_examples=300, deadline=None)
+def test_blocks_and_cuts_match_networkx(g):
+    bd = block_decomposition(g)
+    ours = sorted(b.edges for b in bd.blocks)
+    theirs = sorted(tuple(sorted(tuple(sorted(e)) for e in c))
+                    for c in nx.biconnected_component_edges(_nx(g)))
+    assert ours == theirs
+    assert bd.cut_vertices == tuple(sorted(nx.articulation_points(_nx(g))))
+
+
+def test_deep_inputs_decompose_without_recursion():
+    path = Graph(5000, tuple((i, i + 1) for i in range(1, 5000)))
+    bd = block_decomposition(path)
+    assert (len(bd.blocks), len(bd.cut_vertices), len(bd.block_tree)) == (4999, 4998, 4998)
+    # 1,000 triangles in a row, each sharing one corner with the next
+    chain = Graph(2001, tuple(e for k in range(1, 2001, 2)
+                              for e in ((k, k + 1), (k, k + 2), (k + 1, k + 2))))
+    bd = block_decomposition(chain)
+    assert (len(bd.blocks), len(bd.cut_vertices), len(bd.block_tree)) == (1000, 999, 999)
+    assert all(b.is_triangle() for b in bd.blocks)
