@@ -10,19 +10,23 @@ by composing three mechanisms over the graph structure:
   certified polytope used in dual mode at the cut.
 
 Derivations are plain JSON-ready dicts with exact rational strings, so a
-serialized certificate replays byte-for-byte.  `replay` re-verifies every
-budget equation, every profile step, every hull combination, and the final
-strict sum, using only rational arithmetic.  It also checks that the
-derivation covers the certificate's own graph: `vertices` names each of the
-graph's vertices once, the tree, pendant and block edges of the derivation
-are the graph's edges with each used exactly once, and every block step
-claims the region that `block_region_for` assigns to its edges.
+serialized certificate replays byte-for-byte.  `replay` accepts only the one
+shape that `certify` builds, with exact arithmetic and no recursion: a single
+step, which is a `tree_recursion` under budget 1, a core, or a
+`contraction_step` extending one core by pendant trees.  A core is a
+`join_fold` of one base `block_vertex` and its `join_step`s, or a bare
+`block_vertex`.  Each tree node's split edges name its child steps in order,
+and each vertex is derived once, except that a join lowers its cut and a
+pendant tree re-splits its root.  The derivation must use each edge of the
+certificate's graph exactly once, and each block step must claim the region
+that `block_region_for` assigns to its edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .exponents import (
@@ -95,7 +99,7 @@ class Certificate:
                 for i, j in self.graph.edges]
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "graph": self.graph.to_json_dict(),
             "vertices": list(self.vertices),
             "status": self.status,
@@ -104,7 +108,6 @@ class Certificate:
             "derivation": self.derivation,
             "assumptions": list(self.assumptions),
         }
-        return out
 
     @staticmethod
     def from_json_dict(obj: dict) -> "Certificate":
@@ -233,39 +236,34 @@ def tree_budget_lp(g: Graph, root: int, budget: Fraction) -> TreeAllocation:
                           u=u, w=w, children=children, optimum=optimum)
 
 
-def _tree_derivation(alloc: TreeAllocation, labels: Sequence[int],
-                     node: int | None = None) -> dict:
-    """Nested tree_recursion dict; vertices reported under global labels."""
-    v = alloc.root if node is None else node
-    budget = alloc.budget if node is None else PROFILE.value(alloc.w[v])
-    kids = alloc.children[v]
-    entry = {
-        "kind": "tree_recursion",
-        "root": labels[v - 1],
-        "budget": format_rat(budget),
-        "split": {
-            "u": format_rat(alloc.u[v]),
-            "edges": [{"child": labels[c - 1], "w": format_rat(alloc.w[c])}
-                      for c in kids],
-        },
-        "children": [],
-    }
-    for c in kids:
-        sub = _tree_derivation(alloc, labels, node=c)
-        wc = alloc.w[c]
-        if wc == ZERO:
-            entry["children"].append({
-                "kind": "sup_step", "child": labels[c - 1], "subtree": sub,
-            })
-        else:
-            entry["children"].append({
-                "kind": "improving_step",
-                "child": labels[c - 1],
-                "w": format_rat(wc),
-                "v": format_rat(PROFILE.value(wc)),
-                "subtree": sub,
-            })
-    return entry
+def _tree_derivation(alloc: TreeAllocation, labels: Sequence[int]) -> dict:
+    """Nested tree_recursion dict in global labels, built in BFS order."""
+    def entry(v: int, budget: Fraction) -> dict:
+        return {
+            "kind": "tree_recursion",
+            "root": labels[v - 1],
+            "budget": format_rat(budget),
+            "split": {
+                "u": format_rat(alloc.u[v]),
+                "edges": [{"child": labels[c - 1], "w": format_rat(alloc.w[c])}
+                          for c in alloc.children[v]],
+            },
+            "children": [],
+        }
+
+    root = entry(alloc.root, alloc.budget)
+    queue = [(alloc.root, root)]
+    for v, node in queue:
+        for c in alloc.children[v]:
+            wc = alloc.w[c]
+            sub = entry(c, PROFILE.value(wc))
+            step = ({"kind": "sup_step", "child": labels[c - 1]} if wc == ZERO else
+                    {"kind": "improving_step", "child": labels[c - 1],
+                     "w": format_rat(wc), "v": sub["budget"]})
+            step["subtree"] = sub
+            node["children"].append(step)
+            queue.append((c, sub))
+    return root
 
 
 def certify_tree(g: Graph) -> Certificate:
@@ -365,13 +363,9 @@ def _join_lp(regions: list[VertexPolytope], cut_locals: list[int],
     m = len(regions)
     nvs = [len(r.vertices) for r in regions]
     # layout: lambda blocks, then u'_j, then t
-    lam_off = []
-    off = 0
-    for nv in nvs:
-        lam_off.append(off)
-        off += nv
-    up_off = off
-    t_idx = off + m
+    lam_off = [0, *accumulate(nvs)]
+    up_off = lam_off.pop()
+    t_idx = up_off + m
     width = t_idx + 1
 
     def zrow() -> list[Fraction]:
@@ -458,18 +452,11 @@ def _hull_point(poly: VertexPolytope, lam: Sequence[Fraction]) -> tuple[Fraction
                  for i in range(poly.dim))
 
 
-def _block_vertex_step(block_globals: Sequence[int], region: BlockRegion,
-                       point: Sequence[Fraction], lam: Sequence[Fraction],
-                       block_edges: Sequence[tuple[int, int]]) -> dict:
-    return {
-        "kind": "block_vertex",
-        "block_vertices": list(block_globals),
-        "block_edges": [list(e) for e in block_edges],
-        "region": region.kind,
-        "universal": region.universal,
-        "point": [format_rat(c) for c in point],
-        "combination": [format_rat(c) for c in lam],
-    }
+def _placed(block_step: dict, point: Sequence[Fraction],
+            lam: Sequence[Fraction]) -> dict:
+    """A block step at a hull point, with the point's convex weights."""
+    return dict(block_step, point=[format_rat(c) for c in point],
+                combination=[format_rat(c) for c in lam])
 
 
 def _join_step(cut: int, before: Fraction, up: Fraction, gain: Fraction,
@@ -599,21 +586,12 @@ def certify(g: Graph, master_seed: int = 0, probe_seeds: int = 12) -> Certificat
     # fold the block tree from its root, block 0
     cut_set = set(bd.cut_vertices)
     block_globals = [tuple(inv[v] for v in b.vertices) for b in bd.blocks]
-    block_edges_global = [
-        tuple(tuple(sorted((inv[i], inv[j]))) for i, j in b.edges)
-        for b in bd.blocks
+    block_steps = [
+        {"kind": "block_vertex", "block_vertices": list(globals_),
+         "block_edges": [sorted((inv[i], inv[j])) for i, j in b.edges],
+         "region": region.kind, "universal": region.universal}
+        for b, globals_, region in zip(bd.blocks, block_globals, regions)
     ]
-    status = PROVEN
-    assumptions: list[str] = []
-
-    def block_step(bi: int, point, lam) -> dict:
-        nonlocal status
-        region = regions[bi]
-        if region.universal == CONDITIONAL:
-            status = CONDITIONAL
-            assumptions.append(f"block {list(block_globals[bi])}: {region.note}")
-        return _block_vertex_step(block_globals[bi], region, point, lam,
-                                  block_edges_global[bi])
 
     root_block = bd.blocks[0]
     out_cuts_root = [i for i, v in enumerate(root_block.vertices) if v in cut_set]
@@ -621,7 +599,8 @@ def certify(g: Graph, master_seed: int = 0, probe_seeds: int = 12) -> Certificat
                                list(range(len(root_block.vertices))),
                                out_cuts_root)
     wmap = dict(zip(block_globals[0], point))
-    fold = {"kind": "join_fold", "base": [block_step(0, point, lam)], "joins": []}
+    fold = {"kind": "join_fold", "base": [_placed(block_steps[0], point, lam)],
+            "joins": []}
 
     # group BFS tree edges by cut vertex, preserving BFS order
     groups: dict[int, list[int]] = {}
@@ -650,14 +629,19 @@ def certify(g: Graph, master_seed: int = 0, probe_seeds: int = 12) -> Certificat
             for v, yv in zip(block_globals[ci], y):
                 if v != cut_global:
                     wmap[v] = yv
-            fold["joins"].append(
-                _join_step(cut_global, before, up, gain, block_step(ci, y, lam_c)))
+            fold["joins"].append(_join_step(cut_global, before, up, gain,
+                                            _placed(block_steps[ci], y, lam_c)))
+
+    # the blocks in fold order: the base, then the joins
+    assumptions = [f"block {list(block_globals[bi])}: {regions[bi].note}"
+                   for bi in [0, *(ci for kids in groups.values() for ci in kids)]
+                   if regions[bi].universal == CONDITIONAL]
 
     core_witness = ExponentVector(tuple(wmap[inv[i]] for i in range(1, core_graph.n + 1)))
     core_cert = Certificate(
         graph=core_graph,
         vertices=tuple(inv[i] for i in range(1, core_graph.n + 1)),
-        status=status,
+        status=CONDITIONAL if assumptions else PROVEN,
         witness=core_witness,
         derivation=[fold],
         assumptions=assumptions,
@@ -668,10 +652,7 @@ def certify(g: Graph, master_seed: int = 0, probe_seeds: int = 12) -> Certificat
     full = certify_contraction(g, core_cert) if dec.pendant_trees else core_cert
     # surface the probe evidence notes on conditional certificates
     if full.status == CONDITIONAL:
-        full.assumptions = list(full.assumptions)
-        for note in notes:
-            if "evidence only" in note and note not in full.assumptions:
-                full.assumptions.append(note)
+        full.assumptions.extend(notes)
     return full
 
 
@@ -699,123 +680,11 @@ def replay(cert: Certificate | dict) -> ReplayResult:
             raise _Fail(f"vertices and witness must name each of the {n} vertices once")
         witness = dict(zip(claimed.vertices, claimed.witness))
         claimed_sum = rat(obj["sum"])
-
-        derived: dict[int, Fraction] = {}
-        edges_used: list[tuple[int, ...]] = []
-        conditional_seen = False
-
-        def check_tree(node: dict, budget: Fraction) -> None:
-            if node["kind"] != "tree_recursion":
-                raise _Fail(f"expected tree_recursion, got {node['kind']}")
-            if rat(node["budget"]) != budget:
-                raise _Fail(f"budget mismatch at vertex {node['root']}")
-            u = rat(node["split"]["u"])
-            ws = [rat(e["w"]) for e in node["split"]["edges"]]
-            if u + sum(ws, ZERO) != budget:
-                raise _Fail(f"budget equation violated at vertex {node['root']}")
-            if not (ZERO <= u <= ONE):
-                raise _Fail(f"exponent out of range at vertex {node['root']}")
-            derived[node["root"]] = u
-            kids = {e["child"]: rat(e["w"]) for e in node["split"]["edges"]}
-            for step in node["children"]:
-                child = step["child"]
-                if child not in kids:
-                    raise _Fail(f"step for unknown child {child}")
-                edges_used.append(tuple(sorted((node["root"], child))))
-                w = kids[child]
-                if step["kind"] == "improving_step":
-                    if not (ZERO < w < ONE):
-                        raise _Fail(f"improving step at closed endpoint w={w}")
-                    if rat(step["w"]) != w:
-                        raise _Fail(f"split/step w mismatch at child {child}")
-                    if rat(step["v"]) != PROFILE.value(w):
-                        raise _Fail(
-                            f"profile mismatch: claimed v({w})={step['v']}")
-                    check_tree(step["subtree"], rat(step["v"]))
-                elif step["kind"] == "sup_step":
-                    if w != ZERO:
-                        raise _Fail("sup step with nonzero budget")
-                    check_tree(step["subtree"], ZERO)
-                    sub = _collect_vertices(step["subtree"])
-                    if any(derived[s] != ZERO for s in sub):
-                        raise _Fail("sup-bounded subtree with nonzero exponent")
-                else:
-                    raise _Fail(f"unknown child step {step['kind']}")
-
-        def check_block(step: dict, forced_cut: tuple[int, Fraction] | None) -> None:
-            nonlocal conditional_seen
-            globals_ = list(step["block_vertices"])
-            point = tuple(rat(c) for c in step["point"])
-            lam = [rat(c) for c in step["combination"]]
-            region = _region_from_kind(step)
-            edges_used.extend(tuple(sorted(e)) for e in step["block_edges"])
-            if region.universal == CONDITIONAL:
-                conditional_seen = True
-            if len(lam) != len(region.polytope.vertices):
-                raise _Fail("hull combination has wrong arity")
-            if any(l < ZERO for l in lam) or sum(lam, ZERO) != ONE:
-                raise _Fail("hull combination is not convex")
-            if _hull_point(region.polytope, lam) != point:
-                raise _Fail("hull combination does not reproduce the point")
-            if forced_cut is not None:
-                cut, val = forced_cut
-                if point[globals_.index(cut)] != val:
-                    raise _Fail("dual cut coordinate mismatch")
-                for gv, pv in zip(globals_, point):
-                    if gv != cut:
-                        derived[gv] = pv
-            else:
-                for gv, pv in zip(globals_, point):
-                    derived[gv] = pv
-
-        def check_steps(steps: list[dict]) -> None:
-            for step in steps:
-                kind = step["kind"]
-                if kind == "tree_recursion":
-                    check_tree(step, rat(step["budget"]))
-                elif kind == "block_vertex":
-                    check_block(step, None)
-                elif kind == "join_fold":
-                    check_steps(step["base"])
-                    for js in step["joins"]:
-                        cut = js["cut"]
-                        before = rat(js["u_cut_before"])
-                        up = rat(js["u_prime"])
-                        after = rat(js["u_cut_after"])
-                        gain = rat(js["gain"])
-                        if derived.get(cut) != before:
-                            raise _Fail(f"join at {cut}: stale cut exponent")
-                        if before != up + after:
-                            raise _Fail(f"join at {cut}: split equation violated")
-                        if not (ZERO < up < ONE):
-                            raise _Fail(f"join at {cut}: split not strictly inside")
-                        running = sum(derived.values(), ZERO)
-                        if running < 1:
-                            raise _Fail(f"join at {cut}: no non-trivial estimate")
-                        check_block(js["block"], (cut, ONE - up))
-                        derived[cut] = after
-                        block_sum = sum(
-                            (derived[v] for v in js["block"]["block_vertices"]
-                             if v != cut), ZERO)
-                        if block_sum - up != gain:
-                            raise _Fail(f"join at {cut}: recorded gain mismatch")
-                        if gain <= ZERO:
-                            raise _Fail(f"join at {cut}: no strict gain")
-                elif kind == "contraction_step":
-                    check_steps(step["core"])
-                    for pend in step["pendants"]:
-                        root = pend["root"]
-                        budget = rat(pend["budget"])
-                        if derived.get(root) != budget:
-                            raise _Fail(
-                                f"pendant at {root}: budget is not the core exponent")
-                        check_tree(pend["tree"], budget)
-                else:
-                    raise _Fail(f"unknown step kind {kind}")
-
         if claimed.status == UNKNOWN:
             return ReplayResult(True)
-        check_steps(claimed.derivation)
+
+        derived, edges_used = {}, []  # vertex -> exponent; sorted edge pairs
+        conditional_seen = _check_derivation(claimed.derivation, derived, edges_used)
         if sorted(edges_used) != sorted(claimed.global_edges()):
             raise _Fail("derivation does not use each edge of the graph exactly once")
         for v, x in witness.items():
@@ -830,36 +699,157 @@ def replay(cert: Certificate | dict) -> ReplayResult:
                 raise _Fail("proven status with recorded assumptions")
             if conditional_seen:
                 raise _Fail("proven status built on a conditional block")
-        if claimed.status == CONDITIONAL and claimed_sum <= 1:
+        elif claimed.status != CONDITIONAL:
+            raise _Fail(f"unknown status {claimed.status!r}")
+        elif claimed_sum <= 1:
             raise _Fail("conditional status still requires sum above 1")
         return ReplayResult(True)
     except _Fail as f:
         return ReplayResult(False, str(f))
-    except (KeyError, ValueError, ZeroDivisionError, TypeError, AttributeError,
-            IndexError) as exc:
+    except (KeyError, ValueError, ArithmeticError, TypeError, AttributeError,
+            IndexError, RecursionError) as exc:  # deep values in == or repr
         return ReplayResult(False, f"malformed certificate: {exc}")
-    finally:
-        # the nested checkers reach each other through closure cells; unbind
-        # them so the cycle and the exponents it holds are freed at once
-        check_tree = check_block = check_steps = None
 
 
 class _Fail(Exception):
     pass
 
 
-def _collect_vertices(node: dict) -> list[int]:
-    out = [node["root"]]
-    for step in node["children"]:
-        out.extend(_collect_vertices(step["subtree"]))
-    return out
+def _derive(derived: dict, v: int, x: Fraction) -> None:
+    if v in derived:
+        raise _Fail(f"vertex {v} is derived twice")
+    derived[v] = x
 
 
-def _region_from_kind(step: dict) -> BlockRegion:
-    """The region block_region_for gives a block step's edges; the step must
-    claim its kind and universality."""
-    region = block_region_for(relabel(step["block_vertices"], step["block_edges"])[0])
+def _check_derivation(steps: list, derived: dict, edges_used: list) -> bool:
+    """Check a whole derivation; True when it rests on a conditional block."""
+    if len(steps) != 1:
+        raise _Fail(f"derivation must be one step, not {len(steps)}")
+    step = steps[0]
+    if step["kind"] == "tree_recursion":
+        _check_tree(step, ONE, derived, edges_used)
+        return False
+    if step["kind"] != "contraction_step":
+        return _check_core(step, derived, edges_used)
+    if len(step["core"]) != 1:
+        raise _Fail("contraction must extend one core step")
+    conditional = _check_core(step["core"][0], derived, edges_used)
+    for pend in step["pendants"]:
+        root = pend["root"]
+        budget = rat(pend["budget"])
+        if derived.get(root) != budget:
+            raise _Fail(f"pendant at {root}: budget is not the core exponent")
+        if pend["tree"]["root"] != root:
+            raise _Fail(f"pendant at {root}: tree has another root")
+        del derived[root]  # the pendant tree re-splits its root
+        _check_tree(pend["tree"], budget, derived, edges_used)
+    return conditional
+
+
+def _check_core(step: dict, derived: dict, edges_used: list) -> bool:
+    """A bare block, or one base block folded with joins at cut vertices."""
+    if step["kind"] == "block_vertex":
+        return _check_block(step, derived, edges_used, None, None)
+    if step["kind"] != "join_fold":
+        raise _Fail(f"unknown step kind {step['kind']}")
+    if len(step["base"]) != 1:
+        raise _Fail("join_fold must start from one base block")
+    conditional = _check_block(step["base"][0], derived, edges_used, None, None)
+    for js in step["joins"]:
+        if js["kind"] != "join_step":
+            raise _Fail(f"expected join_step, got {js['kind']}")
+        cut = js["cut"]
+        before, up, after, gain = (
+            rat(js[k]) for k in ("u_cut_before", "u_prime", "u_cut_after", "gain"))
+        if derived.get(cut) != before:
+            raise _Fail(f"join at {cut}: stale cut exponent")
+        if before != up + after:
+            raise _Fail(f"join at {cut}: split equation violated")
+        if not (ZERO < up < ONE):
+            raise _Fail(f"join at {cut}: split not strictly inside")
+        if sum(derived.values(), ZERO) < 1:
+            raise _Fail(f"join at {cut}: no non-trivial estimate")
+        if _check_block(js["block"], derived, edges_used, cut, ONE - up):
+            conditional = True
+        derived[cut] = after  # the join lowers its cut
+        block_sum = sum((derived[v] for v in js["block"]["block_vertices"]
+                         if v != cut), ZERO)
+        if block_sum - up != gain:
+            raise _Fail(f"join at {cut}: recorded gain mismatch")
+        if gain <= ZERO:
+            raise _Fail(f"join at {cut}: no strict gain")
+    return conditional
+
+
+def _check_block(step: dict, derived: dict, edges_used: list,
+                 cut: int | None, cut_value: Fraction | None) -> bool:
+    """A block's hull point; the point's cut coordinate, if any, must equal
+    cut_value and derives nothing.  True when the block is conditional."""
+    if step["kind"] != "block_vertex":
+        raise _Fail(f"expected block_vertex, got {step['kind']}")
+    globals_ = list(step["block_vertices"])
+    if len(set(globals_)) != len(globals_):
+        raise _Fail(f"block {globals_} repeats a vertex")
+    point = tuple(rat(c) for c in step["point"])
+    lam = [rat(c) for c in step["combination"]]
+    # the step must claim the region that block_region_for gives its edges
+    region = block_region_for(relabel(globals_, step["block_edges"])[0])
     if (step["region"], step["universal"]) != (region.kind, region.universal):
-        raise _Fail(f"block {step['block_vertices']} has a {region.universal} "
+        raise _Fail(f"block {globals_} has a {region.universal} "
                     f"{region.kind} region, not {step['universal']} {step['region']}")
-    return region
+    edges_used.extend(tuple(sorted(e)) for e in step["block_edges"])
+    if len(lam) != len(region.polytope.vertices):
+        raise _Fail("hull combination has wrong arity")
+    if any(l < ZERO for l in lam) or sum(lam, ZERO) != ONE:
+        raise _Fail("hull combination is not convex")
+    if _hull_point(region.polytope, lam) != point:
+        raise _Fail("hull combination does not reproduce the point")
+    if cut is not None and point[globals_.index(cut)] != cut_value:
+        raise _Fail("dual cut coordinate mismatch")
+    for gv, pv in zip(globals_, point):
+        if gv != cut:
+            _derive(derived, gv, pv)
+    return region.universal == CONDITIONAL
+
+
+def _check_tree(tree: dict, budget: Fraction, derived: dict, edges_used: list) -> None:
+    """A tree_recursion under the given root budget, walked with a stack.
+    Each split w is 0 (sup step) or in (0, 1), so budget 0 leaves u = 0."""
+    stack = [(tree, budget)]
+    while stack:
+        node, budget = stack.pop()
+        if node["kind"] != "tree_recursion":
+            raise _Fail(f"expected tree_recursion, got {node['kind']}")
+        root = node["root"]
+        if rat(node["budget"]) != budget:
+            raise _Fail(f"budget mismatch at vertex {root}")
+        u = rat(node["split"]["u"])
+        edges = node["split"]["edges"]
+        ws = [rat(e["w"]) for e in edges]
+        if u + sum(ws, ZERO) != budget:
+            raise _Fail(f"budget equation violated at vertex {root}")
+        if not (ZERO <= u <= ONE):
+            raise _Fail(f"exponent out of range at vertex {root}")
+        _derive(derived, root, u)
+        steps = node["children"]
+        if [e["child"] for e in edges] != [step["child"] for step in steps]:
+            raise _Fail(f"split edges and child steps differ at vertex {root}")
+        for step, w in zip(steps, ws):
+            child = step["child"]
+            if step["subtree"]["root"] != child:
+                raise _Fail(f"step for child {child} holds another subtree")
+            edges_used.append(tuple(sorted((root, child))))
+            if step["kind"] == "improving_step":
+                if not (ZERO < w < ONE):
+                    raise _Fail(f"improving step at closed endpoint w={w}")
+                if rat(step["w"]) != w:
+                    raise _Fail(f"split/step w mismatch at child {child}")
+                if rat(step["v"]) != PROFILE.value(w):
+                    raise _Fail(f"profile mismatch: claimed v({w})={step['v']}")
+                stack.append((step["subtree"], rat(step["v"])))
+            elif step["kind"] == "sup_step":
+                if w != ZERO:
+                    raise _Fail("sup step with nonzero budget")
+                stack.append((step["subtree"], ZERO))
+            else:
+                raise _Fail(f"unknown child step {step['kind']}")

@@ -53,24 +53,50 @@ class _Parser(argparse.ArgumentParser):
 # deterministic JSON with exact rationals as strings and 17-digit floats
 
 
-def _fmt(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for k, v in obj.items():
-            items.append(f'{pad}  "{k}": {_fmt(v, indent + 1)}')
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+def _fmt(obj) -> str:
+    """JSON text of obj, two-space indented, flat lists on one line.  An
+    explicit stack of (prefix, value, indent), not recursion, writes nested
+    containers; an entry with value None writes its prefix only."""
+    if not _nested(obj):
+        return _scalar(obj)
+    parts, stack = [], [("", obj, 0)]
+    while stack:
+        prefix, value, indent = stack.pop()
+        parts.append(prefix)
+        if value is None:
+            continue
+        keyed = isinstance(value, dict)
+        text, close = ("{", "}") if keyed else ("[", "]")
+        pad = "\n" + "  " * indent
+        sep, comma, entries = pad + "  ", "," + pad + "  ", []
+        for k, v in value.items() if keyed else enumerate(value):
+            head = f'{text}{sep}"{k}": ' if keyed else text + sep
+            if isinstance(v, (dict, list, tuple)) and _nested(v):
+                entries.append((head, v, indent + 1))
+                text = ""
+            else:
+                text = head + _scalar(v)
+            sep = comma
+        entries.append((text + pad + close, None, 0))
+        stack.extend(reversed(entries))
+    return "".join(parts)
+
+
+def _nested(obj) -> bool:
+    """Whether _fmt writes obj over several lines."""
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in seq)
-        if flat:
-            return "[" + ", ".join(_fmt(v) for v in seq) + "]"
-        items = [f"{pad}  {_fmt(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        return any(isinstance(v, (dict, list, tuple)) for v in obj)
+    return isinstance(obj, dict) and bool(obj)
+
+
+def _scalar(obj) -> str:
+    """JSON text of a value that _fmt writes on one line."""
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(obj, dict):
+        return "{}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_scalar, obj)) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -81,8 +107,7 @@ def _fmt(obj, indent: int = 0) -> str:
         return format(obj, ".17g")
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    s = str(obj).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{s}"'
+    return _scalar(str(obj))
 
 
 def emit_json(payload: dict, out: str | None) -> None:

@@ -15,8 +15,6 @@ from typing import Sequence
 from .graphs import Graph
 from .simplex import feasible_combination
 
-Rat = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -327,27 +325,23 @@ class RegionCompareReport:
 def region_compare(inner: VertexPolytope,
                    outer: HalfspaceSystem | VertexPolytope) -> RegionCompareReport:
     """Check every inner vertex against the outer region, exactly."""
+    if inner.dim != outer.dim:
+        raise ValueError("dimension mismatch")
     offenders: list[tuple[tuple[Fraction, ...], str | None]] = []
     if isinstance(outer, HalfspaceSystem):
-        if inner.dim != outer.dim:
-            raise ValueError("dimension mismatch")
         for v in inner.vertices:
             ok, violated, _ = halfspace_membership(outer, v)
             if not ok:
                 for lab in violated:
                     offenders.append((v, lab))
-        outer_label = outer.label
     else:
-        if inner.dim != outer.dim:
-            raise ValueError("dimension mismatch")
         for v in inner.vertices:
             ok, _ = hull_membership(outer, v)
             if not ok:
                 offenders.append((v, None))
-        outer_label = outer.label
     return RegionCompareReport(
         inner_label=inner.label,
-        outer_label=outer_label,
+        outer_label=outer.label,
         contained=not offenders,
         offenders=offenders,
     )

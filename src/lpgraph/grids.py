@@ -59,12 +59,12 @@ class GridField:
     def integral(self) -> float:
         return float(np.sum(self.values)) * self.h ** 2
 
-    def support_radius(self, rel_tol: float = SUPPORT_REL_TOL) -> float:
-        """Chebyshev radius of the cells above rel_tol * max |value|."""
+    def support_radius(self) -> float:
+        """Chebyshev radius of the cells above SUPPORT_REL_TOL * max |value|."""
         amax = float(np.max(np.abs(self.values)))
         if amax == 0.0:
             return 0.0
-        mask = np.abs(self.values) > rel_tol * amax
+        mask = np.abs(self.values) > SUPPORT_REL_TOL * amax
         idx = np.argwhere(mask)
         m = self.m
         cheb = np.max(np.abs(idx - m))

@@ -267,15 +267,6 @@ class LerayEstimate:
     samples: int
     shell_hits: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "epsilon": self.epsilon,
-            "samples": self.samples,
-            "shell_hits": self.shell_hits,
-        }
-
 
 def _cdf_guide(cum: np.ndarray) -> np.ndarray:
     """Guide table for inverting the nondecreasing cumulative sums `cum`

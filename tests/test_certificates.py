@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -20,6 +21,7 @@ from lpgraph.certificates import (
     tree_budget_lp,
 )
 from lpgraph.exponents import (
+    ExponentVector,
     hull_membership,
     halfspace_membership,
     improving_profile_circle,
@@ -500,6 +502,246 @@ def test_replay_rejects_two_vertex_block_without_its_edge():
     res = replay(forged)
     assert not res.ok
     assert "not connected" in res.failure
+
+
+# ---------------------------------------------------------------------------
+# replay accepts only the derivation shape that certify builds: one step,
+# each tree node's split edges naming its child steps, each vertex derived
+# once.  The first four forgeries below claim false bounds; the last claims
+# proven on C4, whose region needs the regularity hypothesis.
+
+
+def _tree(root, budget, u, kids=()):
+    """A tree_recursion node; kids are (child, w, subtree) triples."""
+    return {
+        "kind": "tree_recursion", "root": root, "budget": str(budget),
+        "split": {"u": str(u),
+                  "edges": [{"child": c, "w": str(w)} for c, w, _ in kids]},
+        "children": [
+            {"kind": "sup_step", "child": c, "subtree": sub} if F(w) == 0 else
+            {"kind": "improving_step", "child": c, "w": str(w),
+             "v": sub["budget"], "subtree": sub}
+            for c, w, sub in kids],
+    }
+
+
+def _forged(n, edges, witness, derivation):
+    return {"graph": {"n": n, "edges": edges}, "vertices": list(range(1, n + 1)),
+            "status": "proven", "witness": witness,
+            "sum": str(sum(F(x) for x in witness)), "derivation": derivation,
+            "assumptions": []}
+
+
+_K3_BLOCK = {
+    "kind": "block_vertex", "block_vertices": [1, 2, 3],
+    "block_edges": [[1, 2], [1, 3], [2, 3]], "region": "triangle",
+    "universal": "proven", "point": ["2/3", "0", "2/3"],
+    "combination": ["0", "0", "0", "0", "1", "0", "0"],
+}
+# path3's centre 3 splits 1 = 2/3 + (-1/6 + 1/3 + 1/6): the child 2 is named
+# twice, and the step for it reads the last w
+_P3_DUPLICATED = _tree(3, 1, "2/3", [(1, "1/3", _tree(1, "2/3", "2/3")),
+                                     (2, "1/6", _tree(2, "1/3", "1/3"))])
+_P3_DUPLICATED["split"]["edges"].insert(0, {"child": 2, "w": "-1/6"})
+
+# name -> (certificate, the failure that rejects it)
+FORGERIES = {
+    # the root budget 3/2 is read from the step instead of pinned to 1
+    "edge (1, 3/4)": (_forged(2, [[1, 2]], ["1", "3/4"], [
+        _tree(1, "3/2", 1, [(2, "1/2", _tree(2, "3/4", "3/4"))])]),
+        "budget mismatch at vertex 1"),
+    # a second top-level tree re-derives vertex 1
+    "edge (1, 5/6)": (_forged(2, [[1, 2]], ["1", "5/6"], [
+        _tree(1, 1, "1/3", [(2, "2/3", _tree(2, "5/6", "5/6"))]), _tree(1, 1, 1)]),
+        "derivation must be one step, not 2"),
+    # a second base step of the fold re-derives vertex 2
+    "K3 (2/3, 1, 2/3)": (_forged(3, [[1, 2], [1, 3], [2, 3]], ["2/3", "1", "2/3"], [
+        {"kind": "join_fold", "base": [_K3_BLOCK, _tree(2, 1, 1)], "joins": []}]),
+        "join_fold must start from one base block"),
+    "path3 (2/3, 1/3, 2/3)": (_forged(3, [[1, 3], [2, 3]], ["2/3", "1/3", "2/3"],
+                                      [_P3_DUPLICATED]),
+                              "split edges and child steps differ at vertex 3"),
+    # C4 folded as if its four edges were the blocks of a block tree: the
+    # last join closes the cycle and derives vertex 1 again
+    "C4 proven from edge blocks": (_forged(4, [list(e) for e in cycle(4).edges],
+                                           ["2/3", "1/3", "1/3", "1/3"], [{
+        "kind": "join_fold", "base": [_edge_block([1, 2], [[1, 2]])],
+        "joins": [{"kind": "join_step", "cut": c, "u_cut_before": "2/3",
+                   "u_prime": "1/3", "u_cut_after": "1/3", "gain": "1/3",
+                   "block": _edge_block([c, d], [[c, d]])}
+                  for c, d in ((2, 3), (3, 4), (4, 1))]}]),
+        "vertex 1 is derived twice"),
+}
+
+
+def test_forged_witnesses_lie_outside_their_regions():
+    edge = sufficient_vertices("regular", single_edge())
+    for w in ("1 3/4", "1 5/6"):
+        assert not hull_membership(edge, tuple(F(x) for x in w.split()))[0]
+    ok, violated, _ = halfspace_membership(necessary_halfspaces("triangle", 2),
+                                           (F(2, 3), F(1), F(2, 3)))
+    assert not ok and violated == [f"triangle-{i}" for i in range(2, 8)]
+    ok, violated, _ = halfspace_membership(necessary_halfspaces("chain3", 2),
+                                           (F(2, 3), F(1, 3), F(2, 3)))
+    assert not ok and violated == ["chain3-2"]
+
+
+@pytest.mark.parametrize("key", sorted(FORGERIES))
+def test_replay_rejects_forged_derivation(key):
+    forged, failure = FORGERIES[key]
+    assert replay(forged) == certificates.ReplayResult(False, failure)
+
+
+def test_replay_rejects_a_deep_forged_tree_without_raising():
+    # a 3,000-vertex path of sup steps whose last vertex claims exponent 1
+    depth = 3000
+    node = _tree(depth, 0, 1)
+    for v in range(depth - 1, 0, -1):
+        node = _tree(v, 0, 0, [(v + 1, 0, node)])
+    node["budget"] = node["split"]["u"] = "1"
+    forged = _forged(depth, [[v, v + 1] for v in range(1, depth)],
+                     ["1"] + ["0"] * (depth - 2) + ["1"], [node])
+    res = replay(forged)
+    assert not res.ok
+    assert res.failure == f"budget equation violated at vertex {depth}"
+
+
+def test_replay_rejects_unknown_status_and_deep_values():
+    cert = certify_tree(path3()).to_json_dict()
+    assert replay(dict(cert, status="conditional")).ok  # a weaker claim
+    assert replay(dict(cert, status="maybe")).failure == "unknown status 'maybe'"
+    deep: list = []
+    for _ in range(100_000):
+        deep = [deep]
+    res = replay(dict(cert, status=deep))
+    assert not res.ok and res.failure.startswith("malformed certificate")
+
+
+def test_replay_rejects_nonzero_exponent_under_a_sup_step():
+    # budget 0 reaches vertex 2, and every split w is at least 0, so the
+    # budget equation leaves it no exponent
+    forged = _forged(2, [[1, 2]], ["1", "1/2"], [
+        _tree(1, 1, 1, [(2, 0, _tree(2, 0, "1/2"))])])
+    res = replay(forged)
+    assert not res.ok
+    assert res.failure == "budget equation violated at vertex 2"
+
+
+def test_tree_derivation_of_a_deep_path_builds_and_replays():
+    from lpgraph.certificates import TreeAllocation, _tree_derivation
+
+    n = 3000
+    u = {v: F(0) for v in range(1, n + 1)}
+    u[1] = u[2] = F(2, 3)
+    w = {v: F(0) for v in range(2, n + 1)}
+    w[2] = F(1, 3)
+    alloc = TreeAllocation(root=1, budget=F(1), total=F(4, 3), u=u, w=w,
+                           children={v: [v + 1] if v < n else [] for v in u},
+                           optimum=F(4, 3))
+    derivation = _tree_derivation(alloc, range(1, n + 1))
+    node, depth = derivation, 1
+    while node["children"]:
+        (step,) = node["children"]
+        node, depth = step["subtree"], depth + 1
+    assert depth == n and node["root"] == n and node["budget"] == "0"
+    cert = Certificate(graph=Graph(n, tuple((v, v + 1) for v in range(1, n))),
+                       vertices=tuple(range(1, n + 1)), status="proven",
+                       witness=ExponentVector(tuple(u.values())),
+                       derivation=[derivation])
+    assert replay(cert).ok
+
+
+# One mutation of an honest certificate from a fixed menu; replay must say
+# ok=False, and never raise.
+
+
+def _tree_nodes(cert):
+    """Every tree_recursion node of a certificate, walked with a stack."""
+    step = cert["derivation"][0]
+    stack = [step] if step["kind"] == "tree_recursion" else [
+        pend["tree"] for pend in step.get("pendants", [])]
+    out = []
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(child["subtree"] for child in node["children"])
+    return out
+
+
+def _core(cert):
+    step = cert["derivation"][0]
+    return step["core"][0] if step["kind"] == "contraction_step" else step
+
+
+def _blocks(cert):
+    core = _core(cert)
+    if core["kind"] != "join_fold":
+        return []
+    return core["base"] + [js["block"] for js in core["joins"]]
+
+
+def _duplicate_split_edge(cert, pick):
+    edges = pick([n for n in _tree_nodes(cert) if n["children"]])["split"]["edges"]
+    edges.append(dict(pick(edges)))
+
+
+def _change_budget(cert, pick):
+    node = pick(_tree_nodes(cert))
+    node["budget"] = str(F(node["budget"]) + F(1, 7))
+
+
+def _rename_subtree_root(cert, pick):
+    step = pick([c for n in _tree_nodes(cert) for c in n["children"]])
+    step["subtree"]["root"] = pick([v for v in cert["vertices"] if v != step["child"]])
+
+
+def _swap_step_kind(cert, pick):
+    step = pick([c for n in _tree_nodes(cert) for c in n["children"]])
+    step["kind"] = {"sup_step": "improving_step", "improving_step": "sup_step"}[step["kind"]]
+
+
+def _repeat_block_vertex(cert, pick):
+    block = pick(_blocks(cert))
+    block["block_vertices"].append(pick(block["block_vertices"]))
+
+
+def _append_top_level_step(cert, pick):
+    cert["derivation"].append(copy.deepcopy(pick(cert["derivation"])))
+
+
+def _add_base_block(cert, pick):
+    base = _core(cert)["base"]
+    base.append(copy.deepcopy(pick(_blocks(cert))))
+
+
+MUTATIONS = {
+    _duplicate_split_edge: lambda c: any(n["children"] for n in _tree_nodes(c)),
+    _change_budget: lambda c: bool(_tree_nodes(c)),
+    _rename_subtree_root: lambda c: any(n["children"] for n in _tree_nodes(c)),
+    _swap_step_kind: lambda c: any(n["children"] for n in _tree_nodes(c)),
+    _repeat_block_vertex: lambda c: bool(_blocks(c)),
+    _append_top_level_step: lambda c: True,
+    _add_base_block: lambda c: bool(_blocks(c)),
+}
+
+
+@functools.cache
+def _honest_certificates():
+    cases = [parse_graph(p.read_text()) for p in sorted(GRAPHS.glob("*.graph"))]
+    cases += LARGER_CASES.values()
+    certs = [certify(g).to_json_dict() for g in cases]
+    return [c for c in certs if c["status"] != "unknown"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_replay_rejects_every_mutation_without_raising(data):
+    cert = copy.deepcopy(data.draw(st.sampled_from(_honest_certificates())))
+    assert replay(cert).ok
+    mutate = data.draw(st.sampled_from([m for m, fits in MUTATIONS.items() if fits(cert)]))
+    mutate(cert, lambda seq: data.draw(st.sampled_from(seq)))
+    res = replay(cert)
+    assert not res.ok, mutate.__name__
 
 
 def test_certificate_json_roundtrip():

@@ -250,3 +250,41 @@ def test_determinism_byte_identical(tmp_path):
     _, d = run(["realize", str(GRAPHS / "k3.graph"), "--seeds", "5",
                 "--seed", "3"], tmp_path, "d.json")
     assert c.read_bytes() == d.read_bytes()
+
+
+def test_fmt_layout():
+    import numpy as np
+    from fractions import Fraction
+
+    from lpgraph.cli import _fmt
+
+    obj = {"a": [1, 2.5, None, True], "b": {}, "c": [], "d": [{"e": Fraction(2, 3)}, []],
+           "f": 'say "hi"\\', "g": np.int64(7), "h": (Fraction(1), False)}
+    assert _fmt(obj) == (
+        '{\n  "a": [1, 2.5, null, true],\n  "b": {},\n  "c": [],\n'
+        '  "d": [\n    {\n      "e": "2/3"\n    },\n    []\n  ],\n'
+        '  "f": "say \\"hi\\"\\\\",\n  "g": 7,\n  "h": ["1", false]\n}')
+    assert _fmt([]) == "[]" and _fmt("x") == '"x"'
+
+
+def test_fmt_writes_deep_nesting_without_recursion():
+    from lpgraph.cli import _fmt
+
+    depth = 5000
+    obj: dict = {}
+    for _ in range(depth):
+        obj = {"a": obj}
+    lines = _fmt(obj).split("\n")
+    assert lines[0] == "{" and lines[-1] == "}"
+    assert lines[depth] == "  " * depth + '"a": {}'
+    assert len(lines) == 2 * depth + 1
+
+
+def test_certify_long_path(tmp_path):
+    # each tree level nests the derivation one step deeper
+    n = 250
+    graph = tmp_path / "path.graph"
+    graph.write_text(f"n {n}\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, n)))
+    code, out = run(["certify", str(graph), "--verify"], tmp_path)
+    assert code == 0
+    assert json.loads(out.read_text())["result"]["replay"]["ok"] is True
