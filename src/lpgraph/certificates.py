@@ -19,7 +19,10 @@ step, which is a `tree_recursion` under budget 1, a core, or a
 and each vertex is derived once, except that a join lowers its cut and a
 pendant tree re-splits its root.  The derivation must use each edge of the
 certificate's graph exactly once, and each block step must claim the region
-that `block_region_for` assigns to its edges.
+that `block_region_for` assigns to its edges.  A contraction's `core_vertices`
+must list the vertices its core derives, each once, and a conditional
+certificate's `assumptions` must hold the entry that `certify` writes for
+each conditional block, which states the block's hypothesis.
 """
 
 from __future__ import annotations
@@ -319,6 +322,11 @@ def block_region_for(block_graph: Graph) -> BlockRegion:
         note="hull bound requires the unit-distance regularity hypothesis; "
              "treated as supplying the join hypotheses",
     )
+
+
+def _assumption(block_vertices: Sequence[int], region: BlockRegion) -> str:
+    """The assumption entry that a conditional block adds to a certificate."""
+    return f"block {list(block_vertices)}: {region.note}"
 
 
 def _placement_lp(region: VertexPolytope, maximize_coords: Sequence[int],
@@ -633,7 +641,7 @@ def certify(g: Graph, master_seed: int = 0, probe_seeds: int = 12) -> Certificat
                                             _placed(block_steps[ci], y, lam_c)))
 
     # the blocks in fold order: the base, then the joins
-    assumptions = [f"block {list(block_globals[bi])}: {regions[bi].note}"
+    assumptions = [_assumption(block_globals[bi], regions[bi])
                    for bi in [0, *(ci for kids in groups.values() for ci in kids)]
                    if regions[bi].universal == CONDITIONAL]
 
@@ -684,7 +692,8 @@ def replay(cert: Certificate | dict) -> ReplayResult:
             return ReplayResult(True)
 
         derived, edges_used = {}, []  # vertex -> exponent; sorted edge pairs
-        conditional_seen = _check_derivation(claimed.derivation, derived, edges_used)
+        # the assumption entry of each conditional block step
+        conditions = _check_derivation(claimed.derivation, derived, edges_used)
         if sorted(edges_used) != sorted(claimed.global_edges()):
             raise _Fail("derivation does not use each edge of the graph exactly once")
         for v, x in witness.items():
@@ -697,12 +706,15 @@ def replay(cert: Certificate | dict) -> ReplayResult:
                 raise _Fail("proven status requires sum strictly above 1")
             if claimed.assumptions:
                 raise _Fail("proven status with recorded assumptions")
-            if conditional_seen:
+            if conditions:
                 raise _Fail("proven status built on a conditional block")
         elif claimed.status != CONDITIONAL:
             raise _Fail(f"unknown status {claimed.status!r}")
         elif claimed_sum <= 1:
             raise _Fail("conditional status still requires sum above 1")
+        for entry in conditions:
+            if entry not in claimed.assumptions:
+                raise _Fail(f"assumptions do not state {entry!r}")
         return ReplayResult(True)
     except _Fail as f:
         return ReplayResult(False, str(f))
@@ -721,19 +733,22 @@ def _derive(derived: dict, v: int, x: Fraction) -> None:
     derived[v] = x
 
 
-def _check_derivation(steps: list, derived: dict, edges_used: list) -> bool:
-    """Check a whole derivation; True when it rests on a conditional block."""
+def _check_derivation(steps: list, derived: dict, edges_used: list) -> list[str]:
+    """Check a whole derivation; returns the assumption entries it rests on."""
     if len(steps) != 1:
         raise _Fail(f"derivation must be one step, not {len(steps)}")
     step = steps[0]
     if step["kind"] == "tree_recursion":
         _check_tree(step, ONE, derived, edges_used)
-        return False
+        return []
     if step["kind"] != "contraction_step":
         return _check_core(step, derived, edges_used)
     if len(step["core"]) != 1:
         raise _Fail("contraction must extend one core step")
-    conditional = _check_core(step["core"][0], derived, edges_used)
+    conditions = _check_core(step["core"][0], derived, edges_used)
+    core = step["core_vertices"]
+    if len(set(core)) != len(core) or set(core) != set(derived):
+        raise _Fail("contraction core_vertices are not the vertices its core derives")
     for pend in step["pendants"]:
         root = pend["root"]
         budget = rat(pend["budget"])
@@ -743,10 +758,10 @@ def _check_derivation(steps: list, derived: dict, edges_used: list) -> bool:
             raise _Fail(f"pendant at {root}: tree has another root")
         del derived[root]  # the pendant tree re-splits its root
         _check_tree(pend["tree"], budget, derived, edges_used)
-    return conditional
+    return conditions
 
 
-def _check_core(step: dict, derived: dict, edges_used: list) -> bool:
+def _check_core(step: dict, derived: dict, edges_used: list) -> list[str]:
     """A bare block, or one base block folded with joins at cut vertices."""
     if step["kind"] == "block_vertex":
         return _check_block(step, derived, edges_used, None, None)
@@ -754,7 +769,7 @@ def _check_core(step: dict, derived: dict, edges_used: list) -> bool:
         raise _Fail(f"unknown step kind {step['kind']}")
     if len(step["base"]) != 1:
         raise _Fail("join_fold must start from one base block")
-    conditional = _check_block(step["base"][0], derived, edges_used, None, None)
+    conditions = _check_block(step["base"][0], derived, edges_used, None, None)
     for js in step["joins"]:
         if js["kind"] != "join_step":
             raise _Fail(f"expected join_step, got {js['kind']}")
@@ -769,8 +784,7 @@ def _check_core(step: dict, derived: dict, edges_used: list) -> bool:
             raise _Fail(f"join at {cut}: split not strictly inside")
         if sum(derived.values(), ZERO) < 1:
             raise _Fail(f"join at {cut}: no non-trivial estimate")
-        if _check_block(js["block"], derived, edges_used, cut, ONE - up):
-            conditional = True
+        conditions += _check_block(js["block"], derived, edges_used, cut, ONE - up)
         derived[cut] = after  # the join lowers its cut
         block_sum = sum((derived[v] for v in js["block"]["block_vertices"]
                          if v != cut), ZERO)
@@ -778,13 +792,14 @@ def _check_core(step: dict, derived: dict, edges_used: list) -> bool:
             raise _Fail(f"join at {cut}: recorded gain mismatch")
         if gain <= ZERO:
             raise _Fail(f"join at {cut}: no strict gain")
-    return conditional
+    return conditions
 
 
 def _check_block(step: dict, derived: dict, edges_used: list,
-                 cut: int | None, cut_value: Fraction | None) -> bool:
+                 cut: int | None, cut_value: Fraction | None) -> list[str]:
     """A block's hull point; the point's cut coordinate, if any, must equal
-    cut_value and derives nothing.  True when the block is conditional."""
+    cut_value and derives nothing.  A conditional block returns the one
+    assumption entry that `certify` writes for it, proven blocks none."""
     if step["kind"] != "block_vertex":
         raise _Fail(f"expected block_vertex, got {step['kind']}")
     globals_ = list(step["block_vertices"])
@@ -809,7 +824,7 @@ def _check_block(step: dict, derived: dict, edges_used: list,
     for gv, pv in zip(globals_, point):
         if gv != cut:
             _derive(derived, gv, pv)
-    return region.universal == CONDITIONAL
+    return [_assumption(globals_, region)] if region.universal == CONDITIONAL else []
 
 
 def _check_tree(tree: dict, budget: Fraction, derived: dict, edges_used: list) -> None:

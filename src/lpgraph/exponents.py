@@ -2,12 +2,13 @@
 
 Coordinates are always reciprocals u_i = 1/p_i in [0, 1], with 0 encoding
 an infinite exponent and 1 encoding exponent one.  Everything here is
-`fractions.Fraction`; membership questions are settled by exact LP.
+exact: `fractions.Fraction`, with integer elimination inside the vertex
+enumeration; membership questions are settled by exact LP.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -353,54 +354,61 @@ def region_compare(inner: VertexPolytope,
 
 def _polytope_vertices_from_rows(rows: list[tuple[list[Fraction], str, Fraction]],
                                  dim: int) -> list[tuple[Fraction, ...]]:
-    """Brute-force vertex enumeration of a low-dimensional H-polytope.
+    """Vertices of a low-dimensional H-polytope, sorted, by exact elimination.
 
-    Solves every dim-subset of tight constraints; keeps feasible solutions.
-    Fine for the handful of constraints used here.
+    A vertex is the solution of `dim` linearly independent rows taken as
+    equations that satisfies every row ("<=", ">=" or "=="); each such
+    subset of rows is solved once.  The arithmetic is over Python ints
+    (Bareiss, *Math. Comp.* 22, 1968): every row is scaled by the lcm of
+    its denominators, and the chosen rows are brought to echelon form one
+    at a time, each new row reduced by the earlier ones with divisions that
+    are exact.  Subsets are extended in index order and share the echelon
+    form of their common prefix, so a row that depends on the rows before
+    it drops every subset that contains them both.  The last pivot D is
+    the determinant up to sign, and back substitution gives integer
+    numerators over D; feasibility is tested as a.num <= b.D (or >=, ==)
+    with D > 0.  Fractions are built only for the vertices that pass.
     """
-    def solve_square(mat, rhs):
-        # Gaussian elimination over Fractions; None if singular
-        k = len(mat)
-        a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-        for col in range(k):
-            piv = None
-            for r in range(col, k):
-                if a[r][col] != 0:
-                    piv = r
-                    break
-            if piv is None:
-                return None
-            a[col], a[piv] = a[piv], a[col]
-            pv = a[col][col]
-            a[col] = [v / pv for v in a[col]]
-            for r in range(k):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return [a[r][k] for r in range(k)]
+    scaled = []
+    for coeffs, rel, b in rows:
+        m = math.lcm(b.denominator, *(c.denominator for c in coeffs))
+        scaled.append(([int(c * m) for c in coeffs] + [int(b * m)], rel))
+    found: set[tuple[Fraction, ...]] = set()
 
-    sols = set()
-    for combo in itertools.combinations(range(len(rows)), dim):
-        mat = [list(rows[i][0]) for i in combo]
-        rhs = [rows[i][2] for i in combo]
-        sol = solve_square(mat, rhs)
-        if sol is None:
-            continue
-        ok = True
-        for coeffs, rel, b in rows:
-            val = sum((c * v for c, v in zip(coeffs, sol)), ZERO)
-            if rel == "<=" and val > b:
-                ok = False
-                break
-            if rel == ">=" and val < b:
-                ok = False
-                break
-            if rel == "==" and val != b:
-                ok = False
-                break
-        if ok:
-            sols.add(tuple(sol))
-    return sorted(sols)
+    def vertex(echelon, cols):
+        den = echelon[-1][cols[-1]]
+        num = [0] * dim
+        for prow, c in zip(reversed(echelon), reversed(cols)):
+            # the columns still unsolved read 0 in num, so the sum runs
+            # over the solved ones only
+            num[c] = (den * prow[dim] - sum(a * x for a, x in zip(prow, num))) // prow[c]
+        if den < 0:
+            den, num = -den, [-x for x in num]
+        for row, rel in scaled:
+            val, rhs = sum(a * x for a, x in zip(row, num)), row[dim] * den
+            if val > rhs if rel == "<=" else val < rhs if rel == ">=" else val != rhs:
+                return
+        found.add(tuple(Fraction(x, den) for x in num))
+
+    def extend(start, echelon, cols):
+        depth = len(echelon) + 1
+        for i in range(start, len(scaled) - dim + depth):
+            row, prev = scaled[i][0], 1
+            for prow, c in zip(echelon, cols):
+                p, f = prow[c], row[c]
+                row = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+                prev = p
+            # earlier pivot columns are 0 in the reduced row
+            col = next((k for k in range(dim) if row[k]), None)
+            if col is None:
+                continue
+            if depth < dim:
+                extend(i + 1, echelon + [row], cols + [col])
+            else:
+                vertex(echelon + [row], cols + [col])
+
+    extend(0, [], [])
+    return sorted(found)
 
 
 def _extreme_points(points: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, ...]]:

@@ -39,11 +39,7 @@ from lpgraph.graphs import (
     Graph,
     cycle,
     path3,
-    star,
     triangle,
-    triangle_with_pendant_tree,
-    two_block_figure,
-    two_triangles,
 )
 from lpgraph.rigidity import (
     Realization,
@@ -52,6 +48,8 @@ from lpgraph.rigidity import (
     regularity_probe,
     rigidity_jacobian,
 )
+
+from graph_figures import star, triangle_with_pendant_tree, two_block_figure, two_triangles
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 DELTAS = (0.125, 0.0625, 0.03125, 0.015625)

@@ -35,13 +35,11 @@ from lpgraph.graphs import (
     parse_graph,
     path3,
     single_edge,
-    star,
     triangle,
-    triangle_with_pendant_tree,
-    two_block_figure,
-    two_triangles,
 )
 from lpgraph.simplex import solve_lp
+
+from graph_figures import star, triangle_with_pendant_tree, two_block_figure, two_triangles
 
 PROFILE = improving_profile_circle(2)
 
@@ -504,6 +502,35 @@ def test_replay_rejects_two_vertex_block_without_its_edge():
     assert "not connected" in res.failure
 
 
+@pytest.mark.parametrize("core_vertices", [
+    [6, 7, 8, 4],  # a pendant vertex claimed as core
+    [6, 7],  # a core vertex left out
+    [6, 7, 8, 8],  # a core vertex repeated
+])
+def test_replay_rejects_contraction_with_false_core_vertices(core_vertices):
+    cert = certify(triangle_with_pendant_tree()).to_json_dict()
+    step = cert["derivation"][0]
+    assert (step["kind"], step["core_vertices"]) == ("contraction_step", [6, 7, 8])
+    step["core_vertices"] = core_vertices
+    res = replay(cert)
+    assert not res.ok
+    assert "core_vertices" in res.failure
+
+
+@pytest.mark.parametrize("keep", ["none", "probe evidence"])
+def test_replay_rejects_conditional_certificate_without_its_assumptions(keep):
+    # C4's one block needs the regularity hypothesis; the certificate must
+    # state it, and the rank probe's evidence note does not
+    cert = certify(cycle(4)).to_json_dict()
+    hypothesis, evidence = cert["assumptions"]
+    assert cert["status"] == "conditional"
+    assert hypothesis.startswith("block [1, 2, 3, 4]: hull bound requires")
+    cert["assumptions"] = [] if keep == "none" else [evidence]
+    res = replay(cert)
+    assert not res.ok
+    assert "assumptions do not state" in res.failure
+
+
 # ---------------------------------------------------------------------------
 # replay accepts only the derivation shape that certify builds: one step,
 # each tree node's split edges naming its child steps, each vertex derived
@@ -714,6 +741,18 @@ def _add_base_block(cert, pick):
     base.append(copy.deepcopy(pick(_blocks(cert))))
 
 
+def _misstate_core_vertices(cert, pick):
+    core = cert["derivation"][0]["core_vertices"]
+    if pick([True, False]):
+        core.remove(pick(core))
+    else:  # a repeat, or a vertex outside the core
+        core.append(pick(cert["vertices"]))
+
+
+def _drop_assumptions(cert, pick):
+    cert["assumptions"] = []
+
+
 MUTATIONS = {
     _duplicate_split_edge: lambda c: any(n["children"] for n in _tree_nodes(c)),
     _change_budget: lambda c: bool(_tree_nodes(c)),
@@ -722,6 +761,8 @@ MUTATIONS = {
     _repeat_block_vertex: lambda c: bool(_blocks(c)),
     _append_top_level_step: lambda c: True,
     _add_base_block: lambda c: bool(_blocks(c)),
+    _misstate_core_vertices: lambda c: c["derivation"][0]["kind"] == "contraction_step",
+    _drop_assumptions: lambda c: c["status"] == "conditional",
 }
 
 

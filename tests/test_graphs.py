@@ -15,12 +15,10 @@ from lpgraph.graphs import (
     path3,
     relabel,
     single_edge,
-    star,
     triangle,
-    triangle_with_pendant_tree,
-    two_block_figure,
-    two_triangles,
 )
+
+from graph_figures import star, triangle_with_pendant_tree, two_block_figure, two_triangles
 
 
 def test_parse_triangle():
