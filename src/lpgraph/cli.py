@@ -5,6 +5,10 @@ writes a JSON artifact whose header echoes the resolved configuration and
 tool version; identical configuration and master seed reproduce the
 artifact byte for byte.  Exit codes: 0 success (an "unknown" certificate
 is a valid answer), 1 usage error, 2 computation failure.
+
+Only realize, estimate, and analyze or certify on a graph whose blocks
+need a rank probe load numpy; they import it when they run.  Every other
+run uses exact rationals and the standard library alone.
 """
 
 from __future__ import annotations
@@ -12,14 +16,13 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import numbers
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from . import certificates, rigidity
+from . import certificates
 from .exponents import (
     chain3_constructed_region,
     chain3_missing_endpoints,
@@ -32,12 +35,6 @@ from .exponents import (
     sufficient_vertices,
 )
 from .graphs import Graph, parse_graph
-from .rigidity import (
-    Realization,
-    RealizationNotFound,
-    degenerate_cycle_start,
-    regularity_probe,
-)
 
 USAGE_ERROR = 1
 COMPUTE_ERROR = 2
@@ -105,7 +102,8 @@ def _scalar(obj) -> str:
         return f'"{format_rat(obj)}"'
     if isinstance(obj, float):
         return format(obj, ".17g")
-    if isinstance(obj, (int, np.integer)):
+    # numpy registers its integers with Integral; int first skips the ABC check
+    if isinstance(obj, (int, numbers.Integral)):
         return str(int(obj))
     return _scalar(str(obj))
 
@@ -127,12 +125,14 @@ def _load_graph(path: str) -> Graph:
     return parse_graph(Path(path).read_text())
 
 
-def _parse_points(text: str) -> Realization:
+def _parse_points(text: str):
+    from .rigidity import Realization
+
     pts = []
     for chunk in text.replace(";", " ").split():
         x, y = chunk.split(",")
         pts.append((float(x), float(y)))
-    return Realization(np.array(pts))
+    return Realization(pts)
 
 
 # subcommands ----------------------------------------------------------------
@@ -166,6 +166,8 @@ def cmd_analyze(args) -> int:
         "block_tree": [list(e) for e in bd.block_tree],
     }
     if args.probe_seeds > 0 and not is_tree(g):
+        from .rigidity import regularity_probe
+
         probes = []
         for b in bd.blocks:
             if b.is_single_edge() or b.is_triangle():
@@ -266,6 +268,8 @@ def cmd_polytope(args) -> int:
 
 
 def cmd_realize(args) -> int:
+    from .rigidity import degenerate_cycle_start, regularity_probe
+
     g = _load_graph(args.graph)
     starts = []
     if args.at:
@@ -405,6 +409,8 @@ def cmd_estimate(args) -> int:
                      for a, b, c in rows],
         }
     elif kind == "oracles":
+        from . import rigidity
+
         g = triangle()
         L = 2.6
         h = grids.grid_spacing(L, args.grid_points)
@@ -418,9 +424,13 @@ def cmd_estimate(args) -> int:
         v_radon = form_evaluate(g, fields, k64, method="radon-pair")
         v_direct = form_evaluate(g, fields, k64, method="direct")
         v_grid = form_evaluate(g, fields, k32, method="radon-pair")
-        est = rigidity.leray_mc_form(g, fields, epsilon=1.0 / 32.0,
-                                     samples=args.mc_samples,
-                                     master_seed=args.seed)
+        try:
+            est = rigidity.leray_mc_form(g, fields, epsilon=1.0 / 32.0,
+                                         samples=args.mc_samples,
+                                         master_seed=args.seed)
+        except rigidity.ZeroAcceptanceError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return COMPUTE_ERROR
         v_mc = est.value / (2.0 * math.pi) ** 3
         payload["result"] = {
             "radon_pair": v_radon,
@@ -503,9 +513,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (certificates.CertificateError, RealizationNotFound,
-            rigidity.ZeroAcceptanceError) as exc:
+    except certificates.CertificateError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return COMPUTE_ERROR
+    except ModuleNotFoundError as exc:  # a run that needs numpy, without it
+        sys.stderr.write(f"error: {exc}; this run needs it\n")
         return COMPUTE_ERROR
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -138,13 +138,6 @@ class HalfspaceRow:
     def evaluate(self, x: Sequence[Fraction]) -> Fraction:
         return sum((c * rat(v) for c, v in zip(self.coeffs, x)), ZERO)
 
-    def holds(self, x: Sequence[Fraction]) -> bool:
-        val = self.evaluate(x)
-        return val <= self.rhs if self.relation == "<=" else val >= self.rhs
-
-    def tight(self, x: Sequence[Fraction]) -> bool:
-        return self.evaluate(x) == self.rhs
-
     def to_json_dict(self) -> dict:
         return {
             "coeffs": [format_rat(c) for c in self.coeffs],
@@ -287,10 +280,11 @@ def halfspace_membership(system: HalfspaceSystem, x: Sequence[Fraction]
         raise ValueError(f"dimension mismatch: {len(xs)} != {system.dim}")
     violated, tight = [], []
     for row in system.rows:
-        if not row.holds(xs):
-            violated.append(row.label)
-        elif row.tight(xs):
+        val = row.evaluate(xs)
+        if val == row.rhs:
             tight.append(row.label)
+        elif (val > row.rhs) if row.relation == "<=" else (val < row.rhs):
+            violated.append(row.label)
     return (not violated), violated, tight
 
 

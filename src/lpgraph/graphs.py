@@ -66,13 +66,6 @@ class Graph:
             adj[j].append(i)
         return adj
 
-    def is_connected(self) -> bool:
-        try:
-            bfs_tree(self, 1)
-        except DisconnectedGraphError:
-            return False
-        return True
-
     def require_connected(self) -> "Graph":
         bfs_tree(self, 1)
         return self
@@ -355,11 +348,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     )
 
 
-# small named graphs used across tests and docs
-
-def single_edge() -> Graph:
-    return Graph(2, ((1, 2),))
-
+# small named graphs that the estimate presets run on
 
 def triangle() -> Graph:
     return Graph(3, ((1, 2), (1, 3), (2, 3)))
@@ -368,9 +357,3 @@ def triangle() -> Graph:
 def path3() -> Graph:
     """Chain on three vertices; the two leaves come first, the center is 3."""
     return Graph(3, ((1, 3), (2, 3)))
-
-
-def cycle(n: int) -> Graph:
-    edges = tuple(sorted((i, i % n + 1) if i < i % n + 1 else (i % n + 1, i))
-                  for i in range(1, n + 1))
-    return Graph(n, edges)

@@ -328,7 +328,3 @@ def lp_norm(f: GridField, p: float) -> float:
     if p == math.inf:
         return float(np.max(a))
     return float(np.sum(a ** p) * f.h ** 2) ** (1.0 / p)
-
-
-def inner(f: GridField, g_values: np.ndarray) -> float:
-    return float(np.sum(f.values * g_values)) * f.h ** 2

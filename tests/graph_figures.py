@@ -3,6 +3,16 @@
 from lpgraph.graphs import Graph
 
 
+def single_edge() -> Graph:
+    return Graph(2, ((1, 2),))
+
+
+def cycle(n: int) -> Graph:
+    edges = tuple(sorted((i, i % n + 1) if i < i % n + 1 else (i % n + 1, i))
+                  for i in range(1, n + 1))
+    return Graph(n, edges)
+
+
 def star(leaves: int) -> Graph:
     """Star with center 1."""
     return Graph(leaves + 1, tuple((1, k) for k in range(2, leaves + 2)))

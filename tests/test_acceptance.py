@@ -37,7 +37,6 @@ from lpgraph.estimator import (
 )
 from lpgraph.graphs import (
     Graph,
-    cycle,
     path3,
     triangle,
 )
@@ -49,7 +48,8 @@ from lpgraph.rigidity import (
     rigidity_jacobian,
 )
 
-from graph_figures import star, triangle_with_pendant_tree, two_block_figure, two_triangles
+from graph_figures import (cycle, star, triangle_with_pendant_tree, two_block_figure,
+                           two_triangles)
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 DELTAS = (0.125, 0.0625, 0.03125, 0.015625)

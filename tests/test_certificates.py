@@ -31,15 +31,14 @@ from lpgraph.exponents import (
 )
 from lpgraph.graphs import (
     Graph,
-    cycle,
     parse_graph,
     path3,
-    single_edge,
     triangle,
 )
 from lpgraph.simplex import solve_lp
 
-from graph_figures import star, triangle_with_pendant_tree, two_block_figure, two_triangles
+from graph_figures import (cycle, single_edge, star, triangle_with_pendant_tree,
+                           two_block_figure, two_triangles)
 
 PROFILE = improving_profile_circle(2)
 

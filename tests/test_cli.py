@@ -173,22 +173,60 @@ def test_missing_file_is_usage_error(tmp_path):
     assert code == 1
 
 
-def test_cli_import_leaves_out_scipy_and_networkx():
-    # the rank probes solve with numpy alone and the estimator, which loads
-    # scipy.fft, is imported on first use; scipy.optimize cost every CLI call
-    # about 0.2 s and scipy.fft about 0.4 s.  The blocks come from our own
-    # depth-first search, so networkx (about 0.2 s) is a test oracle only
+def test_cli_import_leaves_out_scipy_and_networkx(tmp_path):
+    # certify, replay and the exponent polytopes run on exact rationals, so
+    # importing the CLI and certifying a tree loads no numpy; the rank
+    # probes, realize and the estimator (scipy.fft, and scipy.ndimage with
+    # the first cubic prefilter) import theirs when they run.  numpy cost
+    # every CLI call about 0.15 s, scipy.optimize about 0.2 s and scipy.fft
+    # about 0.4 s.  The blocks come from our own depth-first search, so
+    # networkx (about 0.2 s) is a test oracle only
     import lpgraph
 
     src = str(Path(lpgraph.__file__).resolve().parent.parent)
-    code = ("import sys, lpgraph, lpgraph.cli, lpgraph.certificates; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx')); "
-            "print(callable(lpgraph.form_evaluate), callable(lpgraph.make_kernel))")
+    argv = ["certify", str(GRAPHS / "path3.graph"), "--verify", "-o", str(tmp_path / "p.json")]
+    code = ("import sys, lpgraph.cli, lpgraph.certificates; "
+            f"code = lpgraph.cli.main({argv!r}); "
+            "print(code, sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('numpy', 'scipy', 'networkx')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.split("\n")[:3] == ["[]", "[]", "True True"]
+    assert out.stdout.splitlines() == ["0 []"]
+    assert json.loads((tmp_path / "p.json").read_text())["result"]["replay"]["ok"]
+
+
+def _run_without_site_packages(args, cwd):
+    """`python -S -m lpgraph.cli ARGS`: -S leaves site-packages, and numpy
+    with it, off the module path."""
+    import lpgraph
+
+    src = str(Path(lpgraph.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-S", "-m", "lpgraph.cli", *args],
+                          capture_output=True, text=True, timeout=120, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_exact_subcommands_run_without_numpy(tmp_path):
+    probe = subprocess.run([sys.executable, "-S", "-c", "import numpy"],
+                           capture_output=True, env=dict(os.environ, PYTHONPATH=""))
+    assert probe.returncode != 0, "numpy is importable without site-packages"
+    pendant = str(GRAPHS / "triangle_pendant.graph")
+    for args in (["certify", pendant, "--verify"],
+                 ["polytope", "--kind", "chain3", "--check", "2/3", "2/3", "1/3"]):
+        proc = _run_without_site_packages(args + ["-o", "bare.json"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        code, out = run(args, tmp_path)
+        assert code == 0
+        assert (tmp_path / "bare.json").read_bytes() == out.read_bytes()
+
+
+def test_probe_without_numpy_is_a_compute_error(tmp_path):
+    # C4 is a block that needs the rank probe, which needs numpy
+    proc = _run_without_site_packages(["certify", str(GRAPHS / "c4.graph")], tmp_path)
+    assert proc.returncode == 2
+    assert "numpy" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_realize_solves_each_seed_once(tmp_path, monkeypatch):
@@ -217,6 +255,20 @@ def test_estimate_decay_preset(tmp_path):
     assert code == 0
     res = json.loads(out.read_text())["result"]
     assert all(r["normalized"] <= 1.0 for r in res["rows"] if r["freq"] >= 2)
+
+
+def test_estimate_zero_acceptance_is_a_compute_error(tmp_path, monkeypatch, capsys):
+    from lpgraph import rigidity
+
+    def no_hits(*args, **kwargs):
+        raise rigidity.ZeroAcceptanceError("no sample landed in the shell")
+
+    monkeypatch.setattr(rigidity, "leray_mc_form", no_hits)
+    code, out = run(["estimate", "--preset", "k3-oracles", "--grid-points", "33",
+                     "--mc-samples", "1000"], tmp_path)
+    assert code == 2
+    assert "no sample landed in the shell" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_estimate_config(tmp_path):

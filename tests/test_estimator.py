@@ -25,12 +25,17 @@ from lpgraph.estimator import (
     scaling_experiment,
     test_family as field_family,
 )
-from lpgraph.graphs import Graph, path3, single_edge, triangle
-from lpgraph.grids import GridField, MarginError, inner, lp_norm
+from lpgraph.graphs import path3, triangle
+from lpgraph.grids import GridField, MarginError, lp_norm
 from lpgraph import grids
 
 L0 = 2.2
 H0 = L0 / 256
+
+
+def inner(f: GridField, g_values: np.ndarray) -> float:
+    """Discrete L^2 inner product with cell weight h^2."""
+    return float(np.sum(f.values * g_values)) * f.h ** 2
 
 
 def test_kernel_parameter_validation():

@@ -16,7 +16,9 @@ from lpgraph.exponents import (
     region_compare,
     sufficient_vertices,
 )
-from lpgraph.graphs import single_edge, triangle
+from lpgraph.graphs import triangle
+
+from graph_figures import single_edge
 
 
 def test_profile_breakpoints_d2():

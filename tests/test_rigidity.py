@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpgraph.graphs import Graph, cycle, path3, single_edge, triangle
+from lpgraph.graphs import Graph, path3, triangle
 from lpgraph.rigidity import (
     RESIDUAL_TOL,
     CoincidentEndpointsError,
@@ -22,6 +22,8 @@ from lpgraph.rigidity import (
 )
 from lpgraph.estimator import test_family as field_family
 from lpgraph import grids
+
+from graph_figures import cycle, single_edge
 
 EQUILATERAL = Realization(np.array([[0.0, 0.0], [1.0, 0.0],
                                     [0.5, math.sqrt(3.0) / 2.0]]))
