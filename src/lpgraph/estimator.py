@@ -16,6 +16,13 @@ and every cell outside it is an exact zero.  Cropping drops only exact
 zeros, so in exact arithmetic the values are those of the full-size
 "same" convolution.
 
+A tree form averages each distinct leaf field once per parent: a leaf's
+average depends only on its field and on its parent's window, and no
+average is written in place, so leaves that hold the same field object
+share one array and the value is unchanged to the bit.  The scaling
+experiments build one field object per distinct family, so the equal
+endpoints of a chain (ball-ball, annulus-annulus) take one average.
+
 The triangle form is a Radon pair: the inner product of f with the
 bilinear rotation transform of (g, h) at theta = +-pi/3.  Its form path
 never builds the transform: at each kernel node u it forms f * S_u g once,
@@ -259,7 +266,13 @@ def _tree_root(g: Graph) -> int:
 
 def _tree_factor(g: Graph, fields: Sequence[GridField],
                  k: MollifiedCircleKernel, use_fft: bool = True) -> float:
-    """Leaf-to-root nested averages; integrate against the root factor."""
+    """Leaf-to-root nested averages; integrate against the root factor.
+
+    A leaf's average depends only on its field and on its parent's window,
+    so leaves of one parent that hold the same field object share one
+    average, computed once.  No partial is written in place, so sharing
+    the array leaves every product, and the value, as it was.
+    """
     root = _tree_root(g)
     adj = g.adjacency()
     order, parent = bfs_tree(g, root)
@@ -272,20 +285,29 @@ def _tree_factor(g: Graph, fields: Sequence[GridField],
     # all fields share one grid, so one raster serves every vertex
     kernel = k.raster(fields[0]) if use_fft else None
     partial: dict[int, np.ndarray] = {}
+    leaf_average: dict[tuple[int, int], np.ndarray] = {}
     for v in reversed(order):
         vals = fields[v - 1].values
         kids = [w for w in adj[v] if parent.get(w) == v]
         for w in kids:
+            # forget a shared average here, so that it is freed as soon as
+            # its parent has multiplied it in
+            leaf_average.pop((id(fields[w - 1]), v), None)
             vals = vals * partial.pop(w)
         if v == root:
             return float(np.sum(vals)) * fields[0].h ** 2
-        if use_fft:
+        leaf = (id(fields[v - 1]), parent[v]) if not kids else None
+        if leaf in leaf_average:
+            partial[v] = leaf_average[leaf]
+        elif use_fft:
             # the parent's product vanishes off its own factor's support, so
             # the average is needed only on that bounding box
             window = _support_box(fields[parent[v] - 1].values)
             partial[v] = _windowed_average(vals, kernel, window)
         else:
             partial[v] = circular_average_nodesum(fields[v - 1].copy_with(vals), k).values
+        if leaf is not None:
+            leaf_average[leaf] = partial[v]
     raise AssertionError("unreachable")
 
 
@@ -597,10 +619,13 @@ def scaling_experiment(g: Graph, assignment: Sequence[str],
             dom = L
         h = grids.grid_spacing(dom, grid_points)
         k = make_kernel(eps, policy_angular_nodes(h))
-        fields = [_scaled_field(spec, p, dom, h) for spec in assignment]
-        val = form_evaluate(g, fields, k)
-        norms = [lp_norm(f, 1.0) for f in fields]
-        rows.append(ScalingRow(param=p, value=val, norms=norms,
+        # one field object per distinct entry, so equal leaves average once
+        built = {spec: _scaled_field(spec, p, dom, h)
+                 for spec in dict.fromkeys(assignment)}
+        val = form_evaluate(g, [built[spec] for spec in assignment], k)
+        norm = {spec: lp_norm(f, 1.0) for spec, f in built.items()}
+        rows.append(ScalingRow(param=p, value=val,
+                               norms=[norm[spec] for spec in assignment],
                                slope_running=None))
     for prev, cur in zip(rows, rows[1:]):
         if prev.value > 0 and cur.value > 0:

@@ -327,4 +327,8 @@ def lp_norm(f: GridField, p: float) -> float:
     a = np.abs(f.values)
     if p == math.inf:
         return float(np.max(a))
-    return float(np.sum(a ** p) * f.h ** 2) ** (1.0 / p)
+    if p != 1:
+        # 0 ** p is 0, so raising only the nonzero cells gives the array of
+        # a ** p, and the sum adds the same cells in the same order
+        np.power(a, p, out=a, where=a != 0.0)
+    return float(np.sum(a) * f.h ** 2) ** (1.0 / p)

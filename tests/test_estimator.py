@@ -25,9 +25,9 @@ from lpgraph.estimator import (
     scaling_experiment,
     test_family as field_family,
 )
-from lpgraph.graphs import path3, triangle
+from lpgraph.graphs import Graph, path3, triangle
 from lpgraph.grids import GridField, MarginError, lp_norm
-from lpgraph import grids
+from lpgraph import estimator, grids
 
 L0 = 2.2
 H0 = L0 / 256
@@ -226,6 +226,144 @@ def test_tree_and_ratio_values_pinned():
     for row, (n_in, n_out) in zip(rows, want_norms, strict=True):
         assert abs(row.input_norm - n_in) <= 1e-12 * n_in
         assert abs(row.output_norm - n_out) <= 1e-12 * n_out
+
+
+def test_bigball_and_growing_ratio_values_pinned():
+    # recorded before equal leaf fields shared one average and before
+    # lp_norm raised only the nonzero cells; rows in descending order
+    res = scaling_experiment(path3(), ("ball", "ball", "ball"),
+                             (2.0, 3.0, 4.0, 5.0, 6.0), grid_points=257,
+                             epsilon_policy="fixed")
+    want = ((93.76563013240624, 113.06761779785154),
+            (62.538724312953654, 78.5586456298828),
+            (37.52410148340459, 50.25044982910156),
+            (18.834003419747848, 28.262808227539065),
+            (6.453839162488463, 12.563816528320313))
+    for row, (value, norm) in zip(res.rows, want, strict=True):
+        assert abs(row.value - value) <= 1e-12 * value
+        assert len(row.norms) == 3
+        for n in row.norms:
+            assert abs(n - norm) <= 1e-12 * norm
+    rows = ratio_experiment(1.5, 6.0, "annulus", (0.125, 0.0625, 0.03125, 0.015625),
+                            grid_points=257)
+    want_norms = ((0.8520614100611806, 0.4705436424935144),
+                  (0.5246370192134759, 0.36062717290557983),
+                  (0.3461113063054117, 0.27604333079852694),
+                  (0.21190985997761433, 0.19031592840575898))
+    for row, (n_in, n_out) in zip(rows, want_norms, strict=True):
+        assert abs(row.input_norm - n_in) <= 1e-12 * n_in
+        assert abs(row.output_norm - n_out) <= 1e-12 * n_out
+
+
+def _equal_copy(f: GridField) -> GridField:
+    return f.copy_with(f.values.copy())
+
+
+@pytest.mark.parametrize("method", ["tree-factor", "direct"])
+def test_shared_leaf_field_equals_distinct_copy_on_the_chain(method):
+    # path3's center is vertex 3, so vertices 1 and 2 are leaves of one parent
+    k = make_kernel(1 / 16, 128, radial_nodes=3)
+    L, h = 2.2, 2.2 / 32
+    f = field_family("ball", L, h, delta=0.3)
+    g = field_family("annulus", L, h, delta=0.3)
+    shared = form_evaluate(path3(), [f, f, g], k, method=method)
+    distinct = form_evaluate(path3(), [f, _equal_copy(f), g], k, method=method)
+    assert shared > 0.0
+    assert shared == distinct
+
+
+def test_shared_leaf_field_equals_distinct_copies_on_trees():
+    from graph_figures import star
+
+    k = make_kernel(1 / 16, 128, radial_nodes=3)
+    L, h = 3.2, 3.2 / 48
+    f = field_family("ball", L, h, delta=0.3)
+    g = field_family("annulus", L, h, delta=0.3)
+    shared = form_evaluate(star(3), [g, f, f, f], k)
+    distinct = form_evaluate(star(3), [g, f, _equal_copy(f), _equal_copy(f)], k)
+    assert shared > 0.0
+    assert shared == distinct
+    # one field object on leaves of three different parents: each parent's
+    # window gives its own average.  The root is center 1, and leaf 6 under
+    # the annulus is averaged first, on a box narrower than the root's
+    spider = Graph(6, ((1, 2), (1, 3), (1, 4), (2, 5), (3, 6)))
+    big = field_family("ball", L, h, delta=2.0)
+    wide = field_family("ball", L, h, delta=1.1)
+    shared = form_evaluate(spider, [big, wide, g, f, f, f], k)
+    distinct = form_evaluate(spider, [big, wide, g, f, _equal_copy(f),
+                                      _equal_copy(f)], k)
+    assert shared > 0.0
+    assert shared == distinct
+
+
+@pytest.mark.parametrize("assignment, want", [
+    (("ball", "ball", "annulus"), 4),
+    (("ball", "constant", "annulus"), 8),
+])
+def test_scaling_experiment_averages_equal_leaves_once(monkeypatch, assignment, want):
+    calls = [0]
+    real = estimator.fftconvolve
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+    monkeypatch.setattr(estimator, "fftconvolve", counted)
+    res = scaling_experiment(path3(), assignment, (0.125, 0.0625, 0.03125, 0.015625),
+                             grid_points=257)
+    assert calls[0] == want
+    # the norms keep one entry per vertex
+    assert all(len(row.norms) == 3 for row in res.rows)
+
+
+def _old_lp_norm(f: GridField, p: float) -> float:
+    return float(np.sum(np.abs(f.values) ** p) * f.h ** 2) ** (1 / p)
+
+
+@st.composite
+def _sparse_fields(draw):
+    """Small fields with isolated nonzero cells, zero runs, negative values,
+    no zeros at all, or no nonzero cell."""
+    m = draw(st.integers(2, 24))
+    n = 2 * m + 1
+    kind = draw(st.sampled_from(["isolated", "runs", "dense", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.standard_normal(n * n) * 10.0 ** draw(st.integers(-3, 3))
+    if kind == "isolated":
+        keep = np.zeros(n * n, dtype=bool)
+        keep[rng.integers(0, n * n, draw(st.integers(1, 4)))] = True
+        a[~keep] = 0.0
+    elif kind == "runs":
+        for _ in range(draw(st.integers(1, 6))):
+            start = int(rng.integers(0, n * n))
+            a[start:start + int(rng.integers(1, n * n))] = 0.0
+    elif kind == "dense":
+        a[a == 0.0] = 1.0
+    else:
+        a[:] = 0.0
+    return GridField(2.0, 2.0 / m, a.reshape(n, n))
+
+
+@given(_sparse_fields(), st.sampled_from([1.0, 1.5, 3.0, 6.0]))
+@settings(max_examples=80, deadline=None)
+def test_lp_norm_bit_identical_to_full_power(f, p):
+    before = f.values.copy()
+    assert lp_norm(f, p) == _old_lp_norm(f, p)
+    assert np.array_equal(f.values, before)
+
+
+def test_lp_norm_bit_identical_on_indicators():
+    for kind in ("ball", "annulus"):
+        f = field_family(kind, 2.2, 2.2 / 256, delta=0.125)
+        before = f.values.copy()
+        for p in (1.0, 1.5, 3.0, 6.0):
+            assert lp_norm(f, p) == _old_lp_norm(f, p)
+        assert lp_norm(f, math.inf) == 1.0
+        with pytest.raises(ValueError):
+            lp_norm(f, 0.99)
+        assert np.array_equal(f.values, before)
+    neg = f.copy_with(-2.0 * f.values)
+    assert lp_norm(neg, math.inf) == 2.0
+    assert lp_norm(neg, 1.5) == _old_lp_norm(neg, 1.5)
 
 
 def test_import_skips_scipy_signal():
