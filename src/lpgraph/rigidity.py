@@ -24,6 +24,9 @@ MAX_NFEV = 200
 MC_BATCH = 100_000
 # equal buckets of the guide table that inverts the root factor's cell masses
 GUIDE_BUCKETS = 2 ** 16
+# distance by which the shell bounds behind a sibling angle window are
+# widened, far above the rounding of the sampled positions
+WINDOW_PAD = 1e-9
 
 
 class CoincidentEndpointsError(ValueError):
@@ -301,23 +304,63 @@ def _invert_cdf(cum: np.ndarray, first: np.ndarray, draws: np.ndarray) -> np.nda
     return idx
 
 
+def _sibling_window(epsilon: float) -> tuple[float, float]:
+    """Folded angles [lo, hi] outside which an edge between two children of
+    one parent misses its shell, for 0 < epsilon < 1.
+
+    Children at radii r_i, r_j in [1 - eps, 1 + eps] whose angles differ by
+    D lie |p_i - p_j|^2 = (r_i - r_j)^2 + 4 r_i r_j sin^2(D / 2) apart, and
+    the folded angle min(|D|, 2 pi - |D|) in [0, pi] gives the same sine.
+    As (r_i - r_j)^2 <= 4 eps^2 and r_i r_j <= (1 + eps)^2, a distance of at
+    least a = 1 - eps needs sin(D / 2) >= sqrt(a^2 - 4 eps^2) / (2 (1 + eps));
+    as r_i r_j >= (1 - eps)^2, one of at most b = 1 + eps needs
+    sin(D / 2) <= b / (2 (1 - eps)).  Both distances are widened by
+    WINDOW_PAD first.  A pad on the angles instead would not cover the
+    rounding of the positions near eps = 1/3, where the window ends reach 0
+    and pi and the distance stops moving with the angle.
+    """
+    a = 1.0 - epsilon - WINDOW_PAD
+    b = 1.0 + epsilon + WINDOW_PAD
+    low = math.sqrt(max(a * a - 4.0 * epsilon * epsilon, 0.0)) / (2.0 * (1.0 + epsilon))
+    high = min(1.0, b / (2.0 * (1.0 - epsilon)))
+    return 2.0 * math.asin(low), 2.0 * math.asin(high)
+
+
+def _in_sibling_window(th_i: np.ndarray, th_j: np.ndarray,
+                       window: tuple[float, float]) -> np.ndarray:
+    """Whether the folded angle between th_i and th_j lies in the window."""
+    d = np.abs(th_i - th_j)
+    np.minimum(d, 2.0 * math.pi - d, out=d)
+    return (d >= window[0]) & (d <= window[1])
+
+
 def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
                   master_seed: int) -> LerayEstimate:
     """Monte-Carlo integral of prod f_i(x_i) against the box-window shell.
 
     The shell factor is (2 eps)^{-|E|} prod 1[|dist - 1| <= eps] over the
-    edges.  Sampling walks a spanning tree: the first point is drawn from
-    the first function's cell-mass distribution (its factor is consumed by
-    the sampler at cell resolution, through a guide table over the
-    cumulative cell masses), every child is drawn in the annulus shell
+    edges, for 0 < eps < 1.  Sampling walks a spanning tree: the first point
+    is drawn from the first function's cell-mass distribution (its factor is
+    consumed by the sampler at cell resolution, through a guide table over
+    the cumulative cell masses), every child is drawn in the annulus shell
     around its parent (importance weight 2 pi r per tree edge); the
-    remaining edge windows are evaluated as-is.  Each batch of MC_BATCH
-    samples draws from its own random stream and frees its arrays before
-    the next one starts.  Deterministic for a fixed master seed.
+    remaining edge windows are evaluated as-is.
+
+    Each batch of MC_BATCH samples draws from its own random stream, in one
+    order: the root cell and the two root jitters, then per child its radius
+    and stratified angle.  A non-tree edge between two children of one
+    parent can only fire when their folded angle lies in the window of
+    _sibling_window.  A graph with such edges makes all its draws first and
+    places, tests and weighs only the samples inside every window; the
+    others weigh exactly zero.  The kept weights are scattered back into
+    the full batch before it is summed, so the estimate is the one of
+    placing every sample.  A graph with no such edge draws each child as it
+    places it, with no gather.  Deterministic for a fixed master seed.
     """
     g.require_connected()
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < 1.0:
+        # radii on [1 - eps, 1 + eps] must be positive
+        raise ValueError(f"epsilon must lie in the interval (0, 1), got {epsilon}")
     if len(functions) != g.n:
         raise ValueError(f"need {g.n} functions, got {len(functions)}")
     if samples < 1:
@@ -330,6 +373,8 @@ def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
     order, parent = bfs_tree(g, 1)
     tree_edges = {(min(v, w), max(v, w)) for v, w in parent.items()}
     non_tree = [e for e in g.edges if e not in tree_edges]
+    siblings = [(i, j) for i, j in non_tree if parent.get(i) == parent.get(j)]
+    window = _sibling_window(epsilon)
 
     f1 = functions[0]
     flat = f1.values.ravel()
@@ -340,25 +385,42 @@ def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
 
     def batch(rng: np.random.Generator, m: int) -> tuple[float, float, int]:
         """(sum, sum of squares, hits) of m weighted samples."""
-        pts = np.empty((g.n, 2, m))  # one contiguous row per vertex and axis
-        # root point from the first factor's cell-mass distribution
         draws = rng.random(m) * cum[-1]
+        jitter = rng.random(m), rng.random(m)
+        # per child its radius and stratified angle (random stratum pairing
+        # cuts the variance of the angular hit windows without biasing the
+        # mean), drawn as the loop below asks for them unless a window
+        # needs every angle first
+        children = ((v, rng.uniform(1.0 - epsilon, 1.0 + epsilon, m),
+                     (rng.permutation(m) + rng.random(m)) * (2.0 * math.pi / m))
+                    for v in order[1:])
+        kept = None
+        if siblings:
+            children = list(children)
+            angle = {v: th for v, _, th in children}
+            fits = np.ones(m, dtype=bool)
+            for i, j in siblings:
+                fits &= _in_sibling_window(angle[i], angle[j], window)
+            kept = np.flatnonzero(fits)
+            draws = draws[kept]
+            jitter = jitter[0][kept], jitter[1][kept]
+            children = [(v, r[kept], th[kept]) for v, r, th in children]
+
+        k = draws.size
+        pts = np.empty((g.n, 2, k))  # one contiguous row per vertex and axis
+        # root point from the first factor's cell-mass distribution
         idx = _invert_cdf(cum, guide, draws)
         idx = np.minimum(idx, flat.size - 1)
         jj, ii = np.divmod(idx, ncols)
-        pts[0, 0] = -f1.L + ii * f1.h + (rng.random(m) - 0.5) * f1.h
-        pts[0, 1] = -f1.L + jj * f1.h + (rng.random(m) - 0.5) * f1.h
+        pts[0, 0] = -f1.L + ii * f1.h + (jitter[0] - 0.5) * f1.h
+        pts[0, 1] = -f1.L + jj * f1.h + (jitter[1] - 0.5) * f1.h
         w = np.sign(flat[idx]) * mass1
-        for v in order[1:]:
+        for v, r, th in children:
             pv = parent[v]
-            r = rng.uniform(1.0 - epsilon, 1.0 + epsilon, m)
-            # stratified angles (random stratum pairing) cut the variance of
-            # the angular hit windows without biasing the mean
-            th = (rng.permutation(m) + rng.random(m)) * (2.0 * math.pi / m)
             pts[v - 1, 0] = pts[pv - 1, 0] + r * np.cos(th)
             pts[v - 1, 1] = pts[pv - 1, 1] + r * np.sin(th)
             w *= 2.0 * math.pi * r  # kernel (2eps)^-1 vs density (2pi 2eps r)^-1
-        ok = np.ones(m, dtype=bool)
+        ok = np.ones(k, dtype=bool)
         for (i, j) in non_tree:
             dx, dy = pts[i - 1] - pts[j - 1]
             d = np.sqrt(dx * dx + dy * dy)  # rounded as np.linalg.norm rounds it
@@ -372,7 +434,13 @@ def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
         for v in range(2, g.n + 1):
             wa *= functions[v - 1].sample_bilinear(pts[v - 1][:, acc].T)
         w[acc] = wa
-        return float(np.sum(w)), float(np.sum(w * w)), int(np.sum(ok))
+        if kept is not None:
+            # the pairwise sum of the full batch, zeros included, rounds as
+            # it would had every sample been placed
+            full = np.zeros(m)
+            full[kept] = w
+            w = full
+        return float(np.sum(w)), float(np.sum(w * w)), acc.size
 
     total = total_sq = 0.0
     hits = 0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lpgraph.graphs import Graph, path3, triangle
 from lpgraph.rigidity import (
@@ -356,3 +356,154 @@ def test_mc_results_pinned():
                         master_seed=3)
     assert (est.value, est.std_error, est.shell_hits) == (
         0.0013459331171096123, 4.6403516337823e-05, 150000)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.5, 1.0, 2.0])
+def test_mc_rejects_epsilon_outside_unit_interval(epsilon):
+    # at eps >= 1 the shell radii reach zero or below, and the weight 2 pi r
+    # with them
+    L = 2.6
+    fs = _gaussians(L, grids.grid_spacing(L, 33), [(0.0, 0.0), (1.0, 0.0)])
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        leray_mc_form(single_edge(), fs, epsilon=epsilon, samples=100,
+                      master_seed=0)
+
+
+K4 = Graph(4, tuple((i, j) for i in range(1, 5) for j in range(i + 1, 5)))
+# K4 without the edge 1-4: the BFS tree from 1 is 1-2, 1-3, 2-4, so the
+# non-tree edge 2-3 joins two children of 1 and 3-4 does not
+K4_MINUS_14 = Graph(4, ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4)))
+_HALF_ROOT3 = math.sqrt(3.0) / 2.0
+# graph, centers, gaussian width, epsilon, samples, seed, (value, std_error,
+# shell_hits) as recorded while every sample was still placed
+SIBLING_PINS = {
+    "C4, no sibling edge": (
+        cycle(4), [(0, 0), (1, 0), (1, 1), (0, 1)], 0.15, 1 / 16, 130_000, 5,
+        (0.003516508813403898, 0.001063660159096793, 11360)),
+    "K4, three sibling windows": (
+        K4, [(-0.41, -0.41), (0.41, -0.41), (0.41, 0.41), (-0.41, 0.41)],
+        0.25, 0.3, 230_000, 6,
+        (0.0017903815017683723, 0.0006480479098527933, 875)),
+    "K4 - 14, one sibling window": (
+        K4_MINUS_14, [(0, 0), (0.5, _HALF_ROOT3), (1, 0), (1.5, _HALF_ROOT3)],
+        0.15, 1 / 8, 170_000, 8,
+        (0.007751503330747889, 0.002720864826779999, 1490)),
+}
+
+
+@pytest.mark.parametrize("name", list(SIBLING_PINS))
+def test_mc_sibling_windows_pinned(name):
+    g, centers, width, epsilon, samples, seed, pinned = SIBLING_PINS[name]
+    L = 2.6
+    fs = _gaussians(L, grids.grid_spacing(L, 97), centers, width=width)
+    est = leray_mc_form(g, fs, epsilon=epsilon, samples=samples,
+                        master_seed=seed)
+    assert (est.value, est.std_error, est.shell_hits) == pinned
+
+
+# as eps rises to 1/3 the window's lower end falls to 0 and its upper end
+# rises to pi; from there on it keeps every angle
+_THIRD = 1.0 / 3.0
+_TIGHT_EPSILONS = [1 / 32, 1 / 16, 0.3, _THIRD, np.nextafter(_THIRD, 0.0),
+                   np.nextafter(_THIRD, 1.0), _THIRD - 1e-12, _THIRD + 1e-12,
+                   _THIRD - 1e-8]
+_EPSILONS = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                      st.sampled_from(_TIGHT_EPSILONS))
+
+
+def _shell_edges(epsilon):
+    """The folded angles at which two children at extreme radii lie exactly
+    1 - eps and 1 + eps apart, the edges of the unpadded window."""
+    low = (1 - epsilon) ** 2 - 4 * epsilon ** 2
+    high = (1 + epsilon) / (2 * (1 - epsilon))
+    return [2 * math.asin(math.sqrt(max(low, 0.0)) / (2 * (1 + epsilon))),
+            2 * math.asin(min(high, 1.0))]
+
+
+@st.composite
+def _sibling_pair(draw):
+    """epsilon, a parent point, and two children's radii and angles.  Half
+    the pairs are tight: radii at the ends of [1 - eps, 1 + eps] or an ulp
+    inside, and an angle difference a few ulps from a window end, where a
+    window that is too narrow loses accepted samples."""
+    from lpgraph.rigidity import _sibling_window
+
+    epsilon = draw(_EPSILONS)
+    lo, hi = 1.0 - epsilon, 1.0 + epsilon
+    ends = [*_sibling_window(epsilon), *_shell_edges(epsilon)]
+    if draw(st.booleans()):
+        radius = st.sampled_from([lo, np.nextafter(lo, 2.0), hi, np.nextafter(hi, 0.0)])
+        diff = st.builds(lambda e, k: e + k * np.spacing(e),
+                         st.sampled_from(ends), st.integers(-4, 4))
+    else:
+        radius = st.floats(lo, hi)
+        diff = st.floats(0.0, math.pi)
+    r = (draw(radius), draw(radius))
+    delta = draw(diff)
+    th_j = draw(st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+    th_i = th_j + draw(st.sampled_from([delta, -delta, 2.0 * math.pi - delta]))
+    th_i = float(np.mod(th_i, 2.0 * math.pi))
+    assume(0.0 <= th_i < 2.0 * math.pi)
+    rad = draw(st.floats(0.0, 3.0))
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    return epsilon, (rad * math.cos(phi), rad * math.sin(phi)), r, (th_i, th_j)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_sibling_pair())
+@example((_THIRD, (0.0, 0.0), (4 / 3, 2 / 3), (6.283185300277053, 0.0)))
+def test_sibling_window_keeps_every_accepted_pair(pair):
+    # positions and distance computed exactly as the sampler does, on
+    # arrays: whenever the exact shell test accepts, the window keeps
+    from lpgraph.rigidity import _in_sibling_window, _sibling_window
+
+    epsilon, p, r, th = pair
+    r, th = np.array(r), np.array(th)
+    x = p[0] + r * np.cos(th)
+    y = p[1] + r * np.sin(th)
+    dx, dy = np.array([x[0], y[0]]) - np.array([x[1], y[1]])
+    d = np.sqrt(dx * dx + dy * dy)
+    if np.abs(d - 1.0) <= epsilon:
+        assert _in_sibling_window(th[:1], th[1:], _sibling_window(epsilon))[0], pair
+
+
+def test_sibling_window_keeps_every_tight_pair():
+    # every combination of the tight choices above, on one array per
+    # epsilon; a window padded in angle instead of distance loses some of
+    # these at eps = 1/3 and the float below it
+    from lpgraph.rigidity import _in_sibling_window, _sibling_window
+
+    for epsilon in _TIGHT_EPSILONS:
+        lo, hi = 1.0 - epsilon, 1.0 + epsilon
+        radii = [lo, np.nextafter(lo, 2.0), hi, np.nextafter(hi, 0.0)]
+        ends = np.array([*_sibling_window(epsilon), *_shell_edges(epsilon)])
+        delta = (ends[:, None] + np.arange(-4, 5) * np.spacing(ends)[:, None]).ravel()
+        turns = np.concatenate([delta, -delta, 2.0 * math.pi - delta])
+        parents = np.array([[0.0, 0.0], [-2.9, 0.7], [1.3, 2.6]])
+        r_i, r_j, turn, th_j, k = (a.ravel() for a in np.meshgrid(
+            radii, radii, turns, [0.0, 1.0, 3.0, 5.5], range(len(parents)),
+            indexing="ij"))
+        px, py = parents[k].T
+        th_i = np.mod(th_j + turn, 2.0 * math.pi)
+        dx = (px + r_i * np.cos(th_i)) - (px + r_j * np.cos(th_j))
+        dy = (py + r_i * np.sin(th_i)) - (py + r_j * np.sin(th_j))
+        d = np.sqrt(dx * dx + dy * dy)
+        accepted = np.abs(d - 1.0) <= epsilon
+        kept = _in_sibling_window(th_i, th_j, _sibling_window(epsilon))
+        assert not np.any(accepted & ~kept), epsilon
+
+
+def test_trig_of_gathered_angles_matches_full_array():
+    # the sampler takes np.cos and np.sin of the kept angles only; the pinned
+    # estimates need each element rounded as in the full batch, whichever
+    # SIMD lane or loop tail it lands in
+    m = 10 ** 6
+    rng = np.random.default_rng(19)
+    th = (rng.permutation(m) + rng.random(m)) * (2.0 * math.pi / m)
+    full = {fn: fn(th) for fn in (np.cos, np.sin)}
+    for density in (0.001, 0.023, 0.047, 0.5, 0.99):
+        kept = np.flatnonzero(rng.random(m) < density)
+        for length in (kept.size, kept.size - 1, kept.size - 3, 13, 7, 1):
+            sel = kept[:length]
+            for fn, out in full.items():
+                assert np.array_equal(fn(th[sel]), out[sel]), (fn, density, length)
