@@ -5,7 +5,8 @@ by composing three mechanisms over the graph structure:
 
 * rooted-tree budget allocation (an exact greedy merge of concave pieces
   over the improving profile; no LP),
-* pendant-tree extension of a core certificate,
+* pendant-tree extension of the core fold, each pendant tree re-splitting
+  its root's core exponent,
 * joins of blocks sharing a single cut vertex, with the incoming block's
   certified polytope used in dual mode at the cut.
 
@@ -13,9 +14,9 @@ Derivations are plain JSON-ready dicts with exact rational strings, so a
 serialized certificate replays byte-for-byte.  `replay` accepts only the one
 shape that `certify` builds, with exact arithmetic and no recursion: a single
 step, which is a `tree_recursion` under budget 1, a core, or a
-`contraction_step` extending one core by pendant trees.  A core is a
-`join_fold` of one base `block_vertex` and its `join_step`s, or a bare
-`block_vertex`.  Each tree node's split edges name its child steps in order,
+`contraction_step` extending one core by pendant trees.  A core is always a
+`join_fold` of one base `block_vertex` and its `join_step`s, which may be
+none.  Each tree node's split edges name its child steps in order,
 and each vertex is derived once, except that a join lowers its cut and a
 pendant tree re-splits its root.  The derivation must use each edge of the
 certificate's graph exactly once, and each block step must claim the region
@@ -92,9 +93,6 @@ class Certificate:
     @property
     def total(self) -> Fraction:
         return self.witness.total
-
-    def witness_at(self, global_vertex: int) -> Fraction:
-        return self.witness[self.vertices.index(global_vertex)]
 
     def global_edges(self) -> list[tuple[int, int]]:
         """The graph's edges under the global labels, each pair sorted."""
@@ -270,7 +268,7 @@ def _tree_derivation(alloc: TreeAllocation, labels: Sequence[int]) -> dict:
 
 
 def certify_tree(g: Graph) -> Certificate:
-    """Prove an improving witness for a connected tree.
+    """Prove an improving witness for a tree.
 
     The tree is rooted at vertex 1: the optimal sum does not depend on the
     root.  The witness maximizes the sum, ties broken lexicographically,
@@ -278,7 +276,6 @@ def certify_tree(g: Graph) -> Certificate:
     need one are capped at 1 - _OPEN_MARGIN, and the sum falls a little
     short of the optimum.
     """
-    g.require_connected()
     if not is_tree(g):
         raise CertificateError("certify_tree requires a tree")
     if g.n == 1:
@@ -482,79 +479,22 @@ def _join_step(cut: int, before: Fraction, up: Fraction, gain: Fraction,
 
 
 # ---------------------------------------------------------------------------
-# pendant-tree extension
-
-
-def certify_contraction(g_prime: Graph, core_cert: Certificate) -> Certificate:
-    """Extend a core certificate over the pendant trees of g_prime.
-
-    Each pendant tree is re-allocated by `tree_budget_lp` with its root's
-    core exponent as the output budget; the sum can only grow.
-    """
-    g_prime.require_connected()
-    if core_cert.status == UNKNOWN:
-        raise CertificateError("core certificate is unknown")
-    dec = contract_pendant_trees(g_prime)
-    if dec.is_tree:
-        raise CertificateError("core mismatch: graph strips to an empty core")
-    if set(dec.core_vertices) != set(core_cert.vertices):
-        raise CertificateError(
-            f"core mismatch: expected core {sorted(core_cert.vertices)}, "
-            f"found {list(dec.core_vertices)}")
-    if set(core_cert.global_edges()) != set(dec.core_edges):
-        raise CertificateError("core mismatch: edge sets differ")
-    if not dec.pendant_trees:
-        return core_cert
-
-    wmap = {v: core_cert.witness_at(v) for v in dec.core_vertices}
-    pend_steps = []
-    for tree in dec.pendant_trees:
-        verts = tree.all_vertices()
-        tg, remap = relabel(verts, tree.edges)
-        budget = wmap[tree.root]
-        alloc = tree_budget_lp(tg, remap[tree.root], budget)
-        for v in verts:
-            wmap[v] = alloc.u[remap[v]]
-        pend_steps.append({
-            "root": tree.root,
-            "budget": format_rat(budget),
-            "tree": _tree_derivation(alloc, verts),
-        })
-
-    witness = ExponentVector(tuple(wmap[v] for v in range(1, g_prime.n + 1)))
-    if witness.total <= 1:  # pragma: no cover - extension never shrinks the sum
-        raise CertificateError("contraction extension lost the strict sum")
-    derivation = [{
-        "kind": "contraction_step",
-        "core_vertices": list(dec.core_vertices),
-        "core": core_cert.derivation,
-        "pendants": pend_steps,
-    }]
-    return Certificate(
-        graph=g_prime,
-        vertices=tuple(range(1, g_prime.n + 1)),
-        status=core_cert.status,
-        witness=witness,
-        derivation=derivation,
-        assumptions=list(core_cert.assumptions),
-    )
-
-
-# ---------------------------------------------------------------------------
 # full pipeline
 
 
 def certify(g: Graph, master_seed: int = 0, probe_seeds: int = 12) -> Certificate:
-    """Certify an improving witness for any connected graph.
+    """Certify an improving witness for any graph.
 
     Pipeline: trees go through `certify_tree`; otherwise pendant trees are
-    stripped, the 2-core is block-decomposed, every block is certified
+    stripped once, the 2-core is block-decomposed, every block is certified
     (single edges and triangles exactly, other blocks conditionally via the
-    regularity hull after a rank probe), the block tree is folded with
-    joins, and the pendant trees are re-attached.  Absence of a proof is
-    reported as status "unknown", never as an error.
+    regularity hull after a rank probe), and the block tree is folded with
+    joins.  The fold then extends over the pendant trees stripped at the
+    start: each is re-allocated by `tree_budget_lp` with its root's core
+    exponent as the output budget, so the sum can only grow.  The result is
+    one certificate on g.  Absence of a proof is reported as status
+    "unknown", never as an error.
     """
-    g.require_connected()
     if is_tree(g):
         return certify_tree(g)
 
@@ -645,23 +585,32 @@ def certify(g: Graph, master_seed: int = 0, probe_seeds: int = 12) -> Certificat
                    for bi in [0, *(ci for kids in groups.values() for ci in kids)]
                    if regions[bi].universal == CONDITIONAL]
 
-    core_witness = ExponentVector(tuple(wmap[inv[i]] for i in range(1, core_graph.n + 1)))
-    core_cert = Certificate(
-        graph=core_graph,
-        vertices=tuple(inv[i] for i in range(1, core_graph.n + 1)),
-        status=CONDITIONAL if assumptions else PROVEN,
-        witness=core_witness,
-        derivation=[fold],
-        assumptions=assumptions,
-    )
-    if core_cert.total <= 1:  # pragma: no cover - root >= 1 plus strict gains
-        raise CertificateError("core fold lost the strict sum")
+    # each pendant tree re-splits its root's core exponent
+    pend_steps = []
+    for tree in dec.pendant_trees:
+        verts = tree.all_vertices()
+        tg, tmap = relabel(verts, tree.edges)
+        budget = wmap[tree.root]
+        alloc = tree_budget_lp(tg, tmap[tree.root], budget)
+        for v in verts:
+            wmap[v] = alloc.u[tmap[v]]
+        pend_steps.append({"root": tree.root, "budget": format_rat(budget),
+                           "tree": _tree_derivation(alloc, verts)})
+    derivation = [fold] if not pend_steps else [{
+        "kind": "contraction_step",
+        "core_vertices": list(dec.core_vertices),
+        "core": [fold],
+        "pendants": pend_steps,
+    }]
 
-    full = certify_contraction(g, core_cert) if dec.pendant_trees else core_cert
-    # surface the probe evidence notes on conditional certificates
-    if full.status == CONDITIONAL:
-        full.assumptions.extend(notes)
-    return full
+    witness = ExponentVector(tuple(wmap[v] for v in range(1, g.n + 1)))
+    if witness.total <= 1:  # pragma: no cover - root >= 1, strict gains, pendants only add
+        raise CertificateError("certificate lost the strict sum")
+    # only conditional blocks carry a hypothesis or probe evidence notes
+    return Certificate(graph=g, vertices=tuple(range(1, g.n + 1)),
+                       status=CONDITIONAL if assumptions else PROVEN,
+                       witness=witness, derivation=derivation,
+                       assumptions=assumptions + notes)
 
 
 # ---------------------------------------------------------------------------
@@ -762,11 +711,9 @@ def _check_derivation(steps: list, derived: dict, edges_used: list) -> list[str]
 
 
 def _check_core(step: dict, derived: dict, edges_used: list) -> list[str]:
-    """A bare block, or one base block folded with joins at cut vertices."""
-    if step["kind"] == "block_vertex":
-        return _check_block(step, derived, edges_used, None, None)
+    """One base block folded with joins at cut vertices."""
     if step["kind"] != "join_fold":
-        raise _Fail(f"unknown step kind {step['kind']}")
+        raise _Fail(f"a core must be a join_fold, not {step['kind']}")
     if len(step["base"]) != 1:
         raise _Fail("join_fold must start from one base block")
     conditions = _check_block(step["base"][0], derived, edges_used, None, None)

@@ -343,13 +343,14 @@ def cmd_estimate(args) -> int:
         grid_cfg = cfg.get("grid", {})
         points = int(grid_cfg.get("points", args.grid_points))
         L = grid_cfg.get("L")
+        resolved = dict(cfg)
+        resolved.setdefault("seed", args.seed)
         res = scaling_experiment(
             g, tuple(cfg["assignment"]), [float(p) for p in cfg["params"]],
             grid_points=points, L=L,
             epsilon_policy=cfg.get("epsilon_policy", "quarter"),
-            fixed_epsilon=float(cfg.get("fixed_epsilon", 1.0 / 16.0)))
-        resolved = dict(cfg)
-        resolved.setdefault("seed", args.seed)
+            fixed_epsilon=float(cfg.get("fixed_epsilon", 1.0 / 16.0)),
+            master_seed=int(resolved["seed"]))
         payload = _header("estimate", resolved)
         payload["result"] = res.to_json_dict()
         if args.output:
@@ -480,7 +481,9 @@ def build_parser() -> _Parser:
                                     "comparisons")
     pp.add_argument("--kind", choices=("triangle", "chain3", "regular"),
                     required=True)
-    pp.add_argument("--d", type=int, default=2)
+    # the sufficient polygons and the chain3 gap are the planar ones, so a
+    # report for another d would mix two dimensions
+    pp.add_argument("--d", type=int, default=2, choices=(2,))
     pp.add_argument("--graph", help="graph file (kind=regular)")
     pp.add_argument("--check", nargs="+", metavar="U",
                     help="one exact rational like 2/3 per coordinate")

@@ -425,7 +425,6 @@ def form_evaluate(g: Graph, fields: Sequence[GridField],
     quadrature), "leray-mc" (any graph, shell Monte Carlo normalized to
     the unit-mass kernel), "auto" picks the cheapest applicable one.
     """
-    g.require_connected()
     if len(fields) != g.n:
         raise MethodError(f"need {g.n} fields, got {len(fields)}")
     for fld in fields[1:]:
@@ -578,12 +577,15 @@ def scaling_experiment(g: Graph, assignment: Sequence[str],
                        params: Sequence[float], grid_points: int = 513,
                        L: float | None = None,
                        epsilon_policy: str = "quarter",
-                       fixed_epsilon: float = 1.0 / 16.0) -> ScalingResult:
+                       fixed_epsilon: float = 1.0 / 16.0,
+                       master_seed: int = 0) -> ScalingResult:
     """Form values along a shrinking-parameter family, with a log-log fit.
 
     epsilon_policy "quarter" couples the kernel width to the parameter
     (eps = delta / 4) so mollification never smears the test geometry;
-    "fixed" keeps fixed_epsilon (used for growing-ball runs).
+    "fixed" keeps fixed_epsilon (used for growing-ball runs).  master_seed
+    seeds the shell Monte Carlo, which evaluates every graph that is neither
+    a tree nor a triangle.
 
     A growing-ball fit on the 3-chain reaches the slope d = 2 of |B_R| only
     for R >> 1: the averaged indicator has a plateau of radius R - 1, so the
@@ -622,7 +624,8 @@ def scaling_experiment(g: Graph, assignment: Sequence[str],
         # one field object per distinct entry, so equal leaves average once
         built = {spec: _scaled_field(spec, p, dom, h)
                  for spec in dict.fromkeys(assignment)}
-        val = form_evaluate(g, [built[spec] for spec in assignment], k)
+        val = form_evaluate(g, [built[spec] for spec in assignment], k,
+                            master_seed=master_seed)
         norm = {spec: lp_norm(f, 1.0) for spec, f in built.items()}
         rows.append(ScalingRow(param=p, value=val,
                                norms=[norm[spec] for spec in assignment],

@@ -250,7 +250,6 @@ def sufficient_vertices(kind: str, graph: Graph | None = None) -> VertexPolytope
             raise ValueError("kind 'regular' needs a graph")
         if graph.n < 2:
             raise ValueError("regular hull needs n >= 2")
-        graph.require_connected()
         n = graph.n
         verts = [_unit(n, i) for i in range(n)]
         for i, j in graph.edges:

@@ -31,7 +31,13 @@ class DisconnectedGraphError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 1..n with a sorted edge tuple."""
+    """Simple connected undirected graph on vertices 1..n with a sorted edge
+    tuple.
+
+    Construction checks connectivity with one breadth-first search from
+    vertex 1; an unreached vertex raises DisconnectedGraphError carrying the
+    component of the smallest one.  Every Graph is therefore connected.
+    """
 
     n: int
     edges: tuple[Edge, ...]
@@ -54,6 +60,11 @@ class Graph:
             seen.add((i, j))
             norm.append((i, j))
         object.__setattr__(self, "edges", tuple(sorted(norm)))
+        adj = self.adjacency()
+        order, _ = _bfs(adj, 1)
+        if len(order) < self.n:
+            first = min(set(adj).difference(order))
+            raise DisconnectedGraphError(_bfs(adj, first)[0])
 
     @property
     def num_edges(self) -> int:
@@ -65,10 +76,6 @@ class Graph:
             adj[i].append(j)
             adj[j].append(i)
         return adj
-
-    def require_connected(self) -> "Graph":
-        bfs_tree(self, 1)
-        return self
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
@@ -87,16 +94,10 @@ def _bfs(adj: dict[int, list[int]], root: int) -> tuple[list[int], dict[int, int
 def bfs_tree(g: Graph, root: int) -> tuple[list[int], dict[int, int]]:
     """Breadth-first search from root, neighbours taken in ascending order.
 
-    Returns the visiting order and the parent of every other vertex.  An
-    unreachable vertex raises DisconnectedGraphError carrying the component
-    of the smallest one.
+    Returns the visiting order, which holds every vertex since a Graph is
+    connected, and the parent of every vertex but the root.
     """
-    adj = g.adjacency()
-    order, parent = _bfs(adj, root)
-    if len(order) < g.n:
-        first = min(set(adj).difference(order))
-        raise DisconnectedGraphError(_bfs(adj, first)[0])
-    return order, parent
+    return _bfs(g.adjacency(), root)
 
 
 def relabel(vertices: Sequence[int], edges: Iterable[Edge]) -> tuple[Graph, dict[int, int]]:
@@ -111,7 +112,8 @@ def parse_graph(text: str) -> Graph:
 
     Line format: optional ``#`` comments, one ``n <count>`` header, then
     ``e <i> <j>`` lines.  JSON: ``{"n": 3, "edges": [[1, 2], ...]}``.
-    Disconnected graphs are rejected.
+    A disconnected graph raises DisconnectedGraphError, as building any
+    Graph does.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -121,8 +123,7 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(f"invalid JSON graph: {exc}") from exc
         if "n" not in obj or "edges" not in obj:
             raise GraphFormatError('JSON graph needs keys "n" and "edges"')
-        g = Graph(int(obj["n"]), tuple(tuple(int(v) for v in e) for e in obj["edges"]))
-        return g.require_connected()
+        return Graph(int(obj["n"]), tuple(tuple(int(v) for v in e) for e in obj["edges"]))
 
     n = None
     edges: list[Edge] = []
@@ -151,11 +152,11 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:
         raise GraphFormatError("missing 'n <count>' header")
-    return Graph(n, tuple(edges)).require_connected()
+    return Graph(n, tuple(edges))
 
 
 def is_tree(g: Graph) -> bool:
-    """A connected graph is a tree iff it has n-1 edges."""
+    """A Graph, being connected, is a tree iff it has n-1 edges."""
     return g.num_edges == g.n - 1
 
 
@@ -175,7 +176,6 @@ class PendantTree:
 class ContractionDecomposition:
     """2-core plus the forest of pendant trees hanging off it."""
 
-    graph: Graph
     core_vertices: tuple[int, ...]
     core_edges: tuple[Edge, ...]
     pendant_trees: tuple[PendantTree, ...]
@@ -194,7 +194,6 @@ def contract_pendant_trees(g: Graph) -> ContractionDecomposition:
     For a tree the stripping consumes everything and the result is flagged
     so callers route it through the tree certificate instead.
     """
-    g.require_connected()
     adj = {v: set(ws) for v, ws in g.adjacency().items()}
     parent: dict[int, int] = {}
     removed: list[int] = []
@@ -235,7 +234,6 @@ def contract_pendant_trees(g: Graph) -> ContractionDecomposition:
         )
 
     return ContractionDecomposition(
-        graph=g,
         core_vertices=core_vertices,
         core_edges=core_edges,
         pendant_trees=pendants,
@@ -269,7 +267,6 @@ class BlockDecomposition:
     construction (BFS over the bipartite block/cut-vertex tree).
     """
 
-    graph: Graph
     blocks: tuple[BlockEntry, ...]
     cut_vertices: tuple[int, ...]
     block_tree: tuple[tuple[int, int, int], ...]
@@ -312,7 +309,6 @@ def _block_edge_sets(g: Graph) -> list[list[Edge]]:
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
-    g.require_connected()
     blocks = []
     for edge_list in _block_edge_sets(g):
         edges = tuple(sorted((min(e), max(e)) for e in edge_list))
@@ -341,7 +337,6 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     assert len(order) == len(blocks)
 
     return BlockDecomposition(
-        graph=g,
         blocks=tuple(blocks),
         cut_vertices=tuple(cut_blocks),
         block_tree=tuple((parent[bj], shared[parent[bj], bj], bj) for bj in order[1:]),

@@ -137,7 +137,6 @@ def solve_realization(g: Graph, seed: int, restarts: int = 20) -> Realization:
     Success requires max |F(x) - 1| below RESIDUAL_TOL; the result is pinned.
     Raises RealizationNotFound with the best residual after the retry budget.
     """
-    g.require_connected()
     rng = np.random.default_rng(seed)
     if g.num_edges == 0:
         return Realization(np.zeros((g.n, 2)))
@@ -357,7 +356,6 @@ def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
     placing every sample.  A graph with no such edge draws each child as it
     places it, with no gather.  Deterministic for a fixed master seed.
     """
-    g.require_connected()
     if not 0.0 < epsilon < 1.0:
         # radii on [1 - eps, 1 + eps] must be positive
         raise ValueError(f"epsilon must lie in the interval (0, 1), got {epsilon}")

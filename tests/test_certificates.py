@@ -15,7 +15,6 @@ from lpgraph.certificates import (
     Certificate,
     CertificateError,
     certify,
-    certify_contraction,
     certify_tree,
     replay,
     tree_budget_lp,
@@ -268,39 +267,13 @@ def test_larger_tree_witnesses_are_pinned(key, total, witness):
 # contraction
 
 
-def test_contraction_extends_triangle_core():
-    g = triangle_with_pendant_tree()
-    core = Graph(3, ((1, 2), (1, 3), (2, 3)))
-    core_cert = Certificate(
-        graph=core, vertices=(6, 7, 8), status="proven",
-        witness=__import__("lpgraph.exponents", fromlist=["ExponentVector"]
-                           ).ExponentVector((F(1, 2),) * 3),
-        derivation=[{
-            "kind": "block_vertex", "block_vertices": [6, 7, 8],
-            "block_edges": [[6, 7], [6, 8], [7, 8]],
-            "region": "triangle", "universal": "proven",
-            "point": ["1/2", "1/2", "1/2"],
-            "combination": ["0", "0", "0", "0", "0", "0", "1"],
-        }],
-    )
-    full = certify_contraction(g, core_cert)
-    assert full.status == "proven"
-    assert full.total == F(19, 6)
-    assert full.witness_at(7) == F(1, 2) and full.witness_at(8) == F(1, 2)
-    assert replay(full).ok
-
-
-def test_contraction_identity_when_no_pendants():
-    cert = certify(triangle())
-    assert certify_contraction(triangle(), cert) is cert
-
-
-def test_contraction_rejects_tree():
-    # a path strips to an empty core, so no core can match
-    edge_cert = certify(single_edge())
-    g4 = Graph(4, ((1, 2), (2, 3), (3, 4)))
-    with pytest.raises(CertificateError, match="core mismatch"):
-        certify_contraction(g4, edge_cert)
+def test_certify_extends_triangle_core_over_its_pendant_tree():
+    cert = certify(triangle_with_pendant_tree())
+    assert cert.derivation[0]["kind"] == "contraction_step"
+    assert cert.status == "proven"
+    assert cert.total == F(19, 6)
+    assert cert.witness[6] == cert.witness[7] == F(1, 2)  # u7 and u8
+    assert replay(cert).ok
 
 
 # ---------------------------------------------------------------------------
@@ -478,21 +451,20 @@ def test_replay_rejects_four_cycle_claimed_proven():
 
 
 def test_replay_rejects_graph_with_an_unlabelled_vertex():
-    # the path-4 derivation covers every edge of this graph, but vertex 5
-    # has no label and no witness entry
+    # a path-4 certificate presented on the path 1-2-3-4-5: vertex 5 has no
+    # label and no witness entry
     cert = certify(Graph(4, ((1, 2), (2, 3), (3, 4)))).to_json_dict()
-    res = replay(dict(cert, graph={"n": 5, "edges": [[1, 2], [2, 3], [3, 4]]}))
+    res = replay(dict(cert, graph={"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]}))
     assert not res.ok
     assert "once" in res.failure
 
 
 def test_replay_rejects_two_vertex_block_without_its_edge():
-    # drop the bridge from both the graph and its edge_profile block: every
-    # remaining edge is still used once, so the edge check passes, and the
-    # region lookup must reject the block, whose two vertices are unjoined
+    # drop the bridge from its edge_profile block: the region lookup, which
+    # runs before the edge check, must reject the block, whose two vertices
+    # are unjoined
     cert = certify(LARGER_CASES["two triangles joined by an edge"]).to_json_dict()
     forged = copy.deepcopy(cert)
-    forged["graph"]["edges"].remove([3, 4])
     block = forged["derivation"][0]["joins"][0]["block"]
     assert (block["block_vertices"], block["region"]) == ([3, 4], "edge_profile")
     block["block_edges"] = []
@@ -533,8 +505,9 @@ def test_replay_rejects_conditional_certificate_without_its_assumptions(keep):
 # ---------------------------------------------------------------------------
 # replay accepts only the derivation shape that certify builds: one step,
 # each tree node's split edges naming its child steps, each vertex derived
-# once.  The first four forgeries below claim false bounds; the last claims
-# proven on C4, whose region needs the regularity hypothesis.
+# once.  The first four forgeries below claim false bounds; the fifth claims
+# proven on C4, whose region needs the regularity hypothesis; the last gives
+# K3's core as a bare block, a shape that certify never writes.
 
 
 def _tree(root, budget, u, kids=()):
@@ -597,6 +570,9 @@ FORGERIES = {
                    "block": _edge_block([c, d], [[c, d]])}
                   for c, d in ((2, 3), (3, 4), (4, 1))]}]),
         "vertex 1 is derived twice"),
+    "K3 as a bare block": (_forged(3, [[1, 2], [1, 3], [2, 3]], ["2/3", "0", "2/3"],
+                                   [_K3_BLOCK]),
+                           "a core must be a join_fold, not block_vertex"),
 }
 
 
@@ -752,6 +728,12 @@ def _drop_assumptions(cert, pick):
     cert["assumptions"] = []
 
 
+def _unwrap_fold(cert, pick):
+    step = cert["derivation"][0]
+    holder = step["core"] if step["kind"] == "contraction_step" else cert["derivation"]
+    holder[0] = holder[0]["base"][0]
+
+
 MUTATIONS = {
     _duplicate_split_edge: lambda c: any(n["children"] for n in _tree_nodes(c)),
     _change_budget: lambda c: bool(_tree_nodes(c)),
@@ -762,6 +744,7 @@ MUTATIONS = {
     _add_base_block: lambda c: bool(_blocks(c)),
     _misstate_core_vertices: lambda c: c["derivation"][0]["kind"] == "contraction_step",
     _drop_assumptions: lambda c: c["status"] == "conditional",
+    _unwrap_fold: lambda c: _core(c)["kind"] == "join_fold" and not _core(c)["joins"],
 }
 
 

@@ -155,6 +155,14 @@ def test_polytope_regular_check_takes_one_coordinate_per_vertex(tmp_path,
     assert "3 coordinates" in err and "dimension 4" in err
 
 
+def test_polytope_rejects_a_dimension_other_than_two(capsys):
+    # the sufficient polygons and the chain3 gap are planar
+    with pytest.raises(SystemExit) as exc:
+        main(["polytope", "--kind", "chain3", "--d", "3"])
+    assert exc.value.code == 1
+    assert "--d" in capsys.readouterr().err
+
+
 def test_polytope_regular_needs_graph(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["polytope", "--kind", "regular"])
@@ -289,6 +297,55 @@ def test_estimate_config(tmp_path):
     assert again.read_bytes() == out.read_bytes()
     assert (again.with_suffix(".csv").read_bytes()
             == out.with_suffix(".csv").read_bytes())
+
+
+def test_estimate_config_seeds_the_monte_carlo(tmp_path):
+    # C4 is neither a tree nor a triangle, so its form runs the shell Monte
+    # Carlo, under the seed that the header records: --seed, or the
+    # config's own "seed"
+    cfg = {"graph": str(GRAPHS / "c4.graph"), "assignment": ["ball"] * 4,
+           "params": [1.0, 0.75], "grid": {"L": 2.5, "points": 65}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps(dict(cfg, seed=5)))
+    _, zero = run(["estimate", "--config", str(path)], tmp_path, "zero.json")
+    _, five = run(["estimate", "--config", str(path), "--seed", "5"], tmp_path, "five.json")
+    _, again = run(["estimate", "--config", str(seeded)], tmp_path, "again.json")
+
+    def lambdas(out):
+        return [r["lambda"] for r in json.loads(out.read_text())["result"]["rows"]]
+
+    assert all(a != b for a, b in zip(lambdas(zero), lambdas(five)))
+    assert again.read_bytes() == five.read_bytes()
+
+
+def test_estimate_presets_write_rows_as_csv(tmp_path):
+    code, out = run(["estimate", "--preset", "chain3-ball-ball-annulus",
+                     "--grid-points", "129"], tmp_path, "scaling.json")
+    assert code == 0
+    res = json.loads(out.read_text())["result"]
+    assert res["expected_slope"] == 3.0
+    lines = out.with_suffix(".csv").read_text().splitlines()
+    assert lines[0] == "param,lambda,norm_1,norm_2,norm_3,slope_running"
+    assert res["rows"][0]["slope_running"] is None
+    assert lines[1:] == [",".join(
+        [f"{r['param']:.17g}", f"{r['lambda']:.17g}", *(f"{v:.17g}" for v in r["norms"]),
+         "" if r["slope_running"] is None else f"{r['slope_running']:.17g}"])
+        for r in res["rows"]]
+    assert len(lines) == 5 and lines[1].endswith(",")
+
+    code, out = run(["estimate", "--preset", "ratio-bounded", "--grid-points", "129"],
+                    tmp_path, "ratio.json")
+    assert code == 0
+    rows = json.loads(out.read_text())["result"]["rows"]
+    assert all(r["ratio"] == r["output_norm"] / r["input_norm"] for r in rows)
+    lines = out.with_suffix(".csv").read_text().splitlines()
+    assert lines[0] == "param,input_norm,output_norm,ratio"
+    assert lines[1:] == [",".join(f"{r[k]:.17g}" for k in ("param", "input_norm",
+                                                         "output_norm", "ratio"))
+                         for r in rows]
+    assert len(lines) == 5
 
 
 def test_determinism_byte_identical(tmp_path):
