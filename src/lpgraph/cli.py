@@ -205,16 +205,17 @@ def cmd_certify(args) -> int:
 
 
 def cmd_polytope(args) -> int:
-    config = {"kind": args.kind, "d": args.d}
+    # the sufficient polygons and the chain3 gap are the planar ones
+    config = {"kind": args.kind, "d": 2}
     result: dict = {}
     if args.kind in ("triangle", "chain3"):
-        nec = necessary_halfspaces(args.kind, args.d)
+        nec = necessary_halfspaces(args.kind, 2)
         suf = sufficient_vertices(args.kind)
         result["necessary"] = nec.to_json_dict()
         result["sufficient"] = suf.to_json_dict()
         result["containment"] = region_compare(suf, nec).to_json_dict()
         if args.kind == "chain3":
-            constructed = chain3_constructed_region(args.d)
+            constructed = chain3_constructed_region(2)
             result["constructed"] = constructed.to_json_dict()
             cmp_rep = region_compare(constructed, suf)
             missing = chain3_missing_endpoints()
@@ -481,9 +482,6 @@ def build_parser() -> _Parser:
                                     "comparisons")
     pp.add_argument("--kind", choices=("triangle", "chain3", "regular"),
                     required=True)
-    # the sufficient polygons and the chain3 gap are the planar ones, so a
-    # report for another d would mix two dimensions
-    pp.add_argument("--d", type=int, default=2, choices=(2,))
     pp.add_argument("--graph", help="graph file (kind=regular)")
     pp.add_argument("--check", nargs="+", metavar="U",
                     help="one exact rational like 2/3 per coordinate")

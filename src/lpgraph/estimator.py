@@ -32,13 +32,22 @@ the same product at each outer node; the lens nodes around one circle
 crossing lie within a few cells of each other, so their h-shift inner
 products are read off one correlation of the product with h's spline
 coefficients over the box of lags they span.
+
+Both triangle quadratures form the product only on the box of cells where
+|f| exceeds CROP_REL_TOL times its maximum: g is shifted only on that box,
+and h's spline coefficients are read through views at the box's origin
+within the existing pad.  A cubic shift never exceeds the largest
+|coefficient| (its weights are nonnegative and sum to one), which bounds
+the dropped terms by the mass of |f| off the box; a quadrature whose bound
+exceeds 1e-13 of its value reruns on the exact-zero box, which drops
+nothing (`_cropped`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -46,7 +55,7 @@ from scipy.fft import irfft2, next_fast_len, rfft2
 
 from .graphs import Graph, bfs_tree, is_tree
 from . import grids
-from .grids import GridField, MarginError, field_from_function, lp_norm
+from .grids import Box, GridField, MarginError, field_from_function, lp_norm
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,6 +63,10 @@ TWO_PI = 2.0 * math.pi
 # unit circles is transversal at 60 degrees, contributing 2/sqrt(3) per
 # crossing on top of the two 1/(2 pi) mass normalizations
 RADON_PAIR_FACTOR = 1.0 / (2.0 * math.sqrt(3.0) * math.pi ** 2)
+
+# the triangle quadratures sum over the cells where the outer factor f
+# exceeds this fraction of max |f| (`_cropped`)
+CROP_REL_TOL = 1e-16
 
 
 def bump(t: np.ndarray | float) -> np.ndarray | float:
@@ -145,12 +158,17 @@ def fftconvolve(block: np.ndarray, kernel: np.ndarray,
     return full[a0:b0, a1:b1]
 
 
-def _support_box(values: np.ndarray) -> list[tuple[int, int]]:
-    """Per axis, the [start, stop) of the nonzero cells; (0, 0) if none."""
-    nonzero = values != 0.0
+def _support_box(values: np.ndarray, rel: float = 0.0) -> list[tuple[int, int]]:
+    """Per axis, the [start, stop) of the cells whose |value| exceeds rel
+    times the largest, the nonzero cells at rel = 0; (0, 0) if none."""
+    if rel:
+        a = np.abs(values)
+        keep = a > rel * np.max(a)
+    else:
+        keep = values != 0.0
     box = []
     for other in (1, 0):
-        nz = np.flatnonzero(nonzero.any(axis=other))
+        nz = np.flatnonzero(keep.any(axis=other))
         box.append((int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0))
     return box
 
@@ -333,40 +351,84 @@ def _guard_tree_margins(fields: Sequence[GridField], depth: dict[int, int],
                 f"{valid:.3f} but the integrand reaches {read:.3f}")
 
 
-def _radon_pair(g: Graph, fields: Sequence[GridField],
-                k: MollifiedCircleKernel) -> float:
-    """sum over theta = +-pi/3 of inner(f, bilinear_radon(g, h, theta)),
-    fused: at each node u the product P = f * S_u g is formed once and paired
-    with the h-shift of both rotations by cubic_inner."""
+def _cropped(f: GridField, quad: Callable[[Box], float],
+             scale: float) -> tuple[float, float]:
+    """quad(box) on the box of f's cells above CROP_REL_TOL * max |f|, and
+    a bound on the terms the crop dropped: scale times the sum of |f| off
+    the box.
+
+    scale carries the largest spline coefficients of g and h, which bound
+    every cubic shift, and the l1 norm of the node weights.  When the bound
+    exceeds 1e-13 of the value, quad runs again on the exact-zero box, which
+    drops nothing: the bound is then 0.  An all-zero f gives 0.0.
+    """
+    box = _support_box(f.values, CROP_REL_TOL)
+    if box[0] == (0, 0):
+        return 0.0, 0.0
+    (r0, r1), (c0, c1) = box
+    off = np.abs(f.values)
+    off[r0:r1, c0:c1] = 0.0
+    bound = scale * float(np.sum(off))
+    value = quad(box)
+    if bound > 1e-13 * abs(value):
+        return quad(_support_box(f.values)), 0.0
+    return value, bound
+
+
+def _coeff_max(c: grids.CubicCoeffs) -> float:
+    return float(np.max(np.abs(c.padded)))
+
+
+def _radon_pair_terms(fields: Sequence[GridField], k: MollifiedCircleKernel
+                      ) -> tuple[Callable[[Box], float], float]:
+    """The Radon pair as a sum over the cells of a box, and the factor that
+    turns the mass of |f| off the box into a bound on the terms it drops."""
     f, gg, hh = fields
     _check_radon_factors(gg, hh, k)
     gp = grids.cubic_prefilter(gg, 1.0 + k.epsilon)
     hp = grids.cubic_prefilter(hh, 1.0 + k.epsilon)
     rotations = [(math.cos(t), math.sin(t)) for t in (math.pi / 3.0, -math.pi / 3.0)]
-    sums = [0.0, 0.0]
     r, wr = k.radial_rule()
-    for th in k.angles():
-        ux, uy = math.cos(th), math.sin(th)
-        for rad, w in zip(r, wr):
-            P = f.values * grids.shift_cubic(gp, f.h, rad * ux, rad * uy)
-            for i, (ct, st) in enumerate(rotations):
-                vx, vy = ct * ux - st * uy, st * ux + ct * uy
-                sums[i] += (w / k.M) * grids.cubic_inner(P, hp, f.h, rad * vx, rad * vy)
-    return float(RADON_PAIR_FACTOR * sum(s * f.h ** 2 for s in sums))
+
+    def on_box(box):
+        (r0, r1), (c0, c1) = box
+        fb = f.values[r0:r1, c0:c1]
+        sums = [0.0, 0.0]
+        for th in k.angles():
+            ux, uy = math.cos(th), math.sin(th)
+            for rad, w in zip(r, wr):
+                P = fb * grids.shift_cubic(gp, f.h, rad * ux, rad * uy, box)
+                for i, (ct, st) in enumerate(rotations):
+                    vx, vy = ct * ux - st * uy, st * ux + ct * uy
+                    sums[i] += (w / k.M) * grids.cubic_inner(
+                        P, hp, f.h, rad * vx, rad * vy, box)
+        return float(RADON_PAIR_FACTOR * sum(s * f.h ** 2 for s in sums))
+
+    # the node weights w / M are positive and sum to one per rotation
+    scale = RADON_PAIR_FACTOR * f.h ** 2 * 2.0 * _coeff_max(gp) * _coeff_max(hp)
+    return on_box, scale
 
 
-def _direct_triangle(g: Graph, fields: Sequence[GridField],
-                     k: MollifiedCircleKernel, m_alpha: int = 128,
-                     n_radial: int = 3, n_lens: int = 3) -> float:
-    """Honest quadrature of the triple-kernel form.
+def _radon_pair(g: Graph, fields: Sequence[GridField],
+                k: MollifiedCircleKernel) -> float:
+    """sum over theta = +-pi/3 of inner(f, bilinear_radon(g, h, theta)),
+    fused: at each node u the product P = f * S_u g is formed once and paired
+    with the h-shift of both rotations by cubic_inner.
 
-    Outer polar nodes on the first kernel annulus; for each node the inner
-    double shell is integrated in annular offset coordinates around the two
-    exact circle intersections, with the transversality Jacobian.  The
-    lens nodes of one crossing lie within a few cells of each other, so
-    their h-shift inner products with P = f * S_u g are read off one spline
-    correlation (`grids.cubic_inner_sum`): two per outer node.
+    P is formed on f's support box at CROP_REL_TOL only (`_cropped`); the
+    terms it drops are bounded by RADON_PAIR_FACTOR * h^2 * (sum of |f| off
+    the box) * 2 * max |c_g| * max |c_h|, with c_g and c_h the spline
+    coefficients.  Above 1e-13 of the value the exact-zero box is used.
     """
+    return _cropped(fields[0], *_radon_pair_terms(fields, k))[0]
+
+
+def _direct_triangle_terms(fields: Sequence[GridField], k: MollifiedCircleKernel,
+                           m_alpha: int, n_radial: int, n_lens: int
+                           ) -> tuple[Callable[[Box], float], float]:
+    """The direct quadrature as a sum over the cells of a box, and the factor
+    that turns the mass of |f| off the box into a bound on the terms it
+    drops."""
     f, gg, hh = fields
     for fld in fields:
         if fld.boundary_free:
@@ -400,18 +462,48 @@ def _direct_triangle(g: Graph, fields: Sequence[GridField],
                 lens.append((w_lens, d, perp))
         radial.append((r, w_u, np.array(lens).reshape(-1, 3).T))
 
-    total = 0.0
-    for mi in range(m_alpha):
-        th = TWO_PI * (mi + 0.5) / m_alpha
-        ux, uy = math.cos(th), math.sin(th)
-        for r, w_u, (w_lens, d, perp) in radial:
-            P = f.values * grids.shift_cubic(gp, f.h, r * ux, r * uy)
-            inner_sum = 0.0
-            for sgn in (1.0, -1.0):
-                v = np.stack((d * ux - sgn * perp * uy, d * uy + sgn * perp * ux), axis=1)
-                inner_sum += grids.cubic_inner_sum(P, hp, f.h, v, w_lens)
-            total += w_u * inner_sum * h2
-    return float(total)
+    def on_box(box):
+        (r0, r1), (c0, c1) = box
+        fb = f.values[r0:r1, c0:c1]
+        total = 0.0
+        for mi in range(m_alpha):
+            th = TWO_PI * (mi + 0.5) / m_alpha
+            ux, uy = math.cos(th), math.sin(th)
+            for r, w_u, (w_lens, d, perp) in radial:
+                P = fb * grids.shift_cubic(gp, f.h, r * ux, r * uy, box)
+                inner_sum = 0.0
+                for sgn in (1.0, -1.0):
+                    v = np.stack((d * ux - sgn * perp * uy, d * uy + sgn * perp * ux), axis=1)
+                    inner_sum += grids.cubic_inner_sum(P, hp, f.h, v, w_lens, box)
+                total += w_u * inner_sum * h2
+        return float(total)
+
+    # l1 norm of the node weights: each outer node weighs the lens sums of
+    # its two crossings by w_u
+    l1 = m_alpha * sum(abs(w_u) * 2.0 * float(np.sum(np.abs(lens[0])))
+                       for _, w_u, lens in radial)
+    return on_box, h2 * l1 * _coeff_max(gp) * _coeff_max(hp)
+
+
+def _direct_triangle(g: Graph, fields: Sequence[GridField],
+                     k: MollifiedCircleKernel, m_alpha: int = 128,
+                     n_radial: int = 3, n_lens: int = 3) -> float:
+    """Honest quadrature of the triple-kernel form.
+
+    Outer polar nodes on the first kernel annulus; for each node the inner
+    double shell is integrated in annular offset coordinates around the two
+    exact circle intersections, with the transversality Jacobian.  The
+    lens nodes of one crossing lie within a few cells of each other, so
+    their h-shift inner products with P = f * S_u g are read off one spline
+    correlation (`grids.cubic_inner_sum`): two per outer node.
+
+    As in the Radon pair, P is formed on f's support box at CROP_REL_TOL
+    only (`_cropped`); the dropped terms are bounded by h^2 * (sum of |f|
+    off the box) * max |c_g| * max |c_h| times the sum of |node weights|,
+    and above 1e-13 of the value the exact-zero box is used.
+    """
+    terms = _direct_triangle_terms(fields, k, m_alpha, n_radial, n_lens)
+    return _cropped(fields[0], *terms)[0]
 
 
 def form_evaluate(g: Graph, fields: Sequence[GridField],

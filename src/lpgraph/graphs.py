@@ -9,7 +9,9 @@ depth-first search finds without recursion.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -37,10 +39,13 @@ class Graph:
     Construction checks connectivity with one breadth-first search from
     vertex 1; an unreached vertex raises DisconnectedGraphError carrying the
     component of the smallest one.  Every Graph is therefore connected.
+    Fewer than n - 1 edges cannot connect n vertices: that check reads the
+    edges alone, so a huge vertex count allocates nothing per vertex.
     """
 
     n: int
     edges: tuple[Edge, ...]
+    _adj: dict[int, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -60,22 +65,27 @@ class Graph:
             seen.add((i, j))
             norm.append((i, j))
         object.__setattr__(self, "edges", tuple(sorted(norm)))
-        adj = self.adjacency()
+        if self.n > len(self.edges) + 1:
+            adj = defaultdict(list)  # a list only for the vertices reached
+        else:
+            adj = {v: [] for v in range(1, self.n + 1)}
+        for i, j in self.edges:
+            adj[i].append(j)
+            adj[j].append(i)
         order, _ = _bfs(adj, 1)
         if len(order) < self.n:
-            first = min(set(adj).difference(order))
+            reached = set(order)
+            first = next(v for v in count(1) if v not in reached)
             raise DisconnectedGraphError(_bfs(adj, first)[0])
+        object.__setattr__(self, "_adj", adj)
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
     def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
+        """Neighbours of every vertex, ascending; built once, so read only."""
+        return self._adj
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -161,6 +161,9 @@ def shift_bilinear(f: GridField, dx: float, dy: float) -> np.ndarray:
 
 _CUBIC_MODE = "constant"
 
+# output cells ((row start, stop), (column start, stop)) of a cubic shift
+Box = Sequence[tuple[int, int]]
+
 
 @dataclass(frozen=True)
 class CubicCoeffs:
@@ -205,12 +208,14 @@ def _bspline3_weights(t: float) -> tuple[float, float, float, float]:
     return w0, w1, w2, w3
 
 
-def _cubic_x_pass(c: CubicCoeffs, h: float, dx: float, dy: float):
-    """The x filter of a cubic shift, on the n + 3 rows its y pass reads.
+def _cubic_x_pass(c: CubicCoeffs, h: float, dx: float, dy: float,
+                  box: Box | None = None):
+    """The x filter of a cubic shift, on the rows its y pass reads.
 
-    Returns (tmp, wy): output row j of the shift is the sum over the y taps
-    k = -1..2 of wy[k + 1] * tmp[2 - k + j]; tmp is None when every tap
-    falls outside the grid, so the shift is zero.
+    box ((row start, stop), (column start, stop)) selects the output cells,
+    the whole n x n grid by default.  Returns (tmp, wy): output row j of the
+    box is the sum over the y taps k = -1..2 of wy[k + 1] * tmp[2 - k + j];
+    tmp is None when every tap falls outside the grid, so the shift is zero.
     """
     sx = dx / h
     sy = dy / h
@@ -227,13 +232,14 @@ def _cubic_x_pass(c: CubicCoeffs, h: float, dx: float, dy: float):
     if need > p:
         a = np.pad(a[p:p + n, p:p + n], need)
         p = need
-    rows = a[p - j0 - 2:p - j0 + n + 1]
+    (r0, r1), (c0, c1) = box or ((0, n), (0, n))
+    rows = a[p - j0 - 2 + r0:p - j0 + r1 + 1]
     tmp = None
     for k, w in enumerate(wx, start=-1):
         if w == 0.0:
             continue
-        col = p - i0 - k
-        part = w * rows[:, col:col + n]
+        col = p - i0 - k + c0
+        part = w * rows[:, col:col + c1 - c0]
         if tmp is None:
             tmp = part
         else:
@@ -241,17 +247,24 @@ def _cubic_x_pass(c: CubicCoeffs, h: float, dx: float, dy: float):
     return tmp, wy
 
 
-def shift_cubic(prefiltered: CubicCoeffs, h: float, dx: float, dy: float) -> np.ndarray:
-    """Order-3 spline values of x -> f(x - (dx, dy)); zero outside."""
-    n = prefiltered.n
-    tmp, wy = _cubic_x_pass(prefiltered, h, dx, dy)
+def shift_cubic(prefiltered: CubicCoeffs, h: float, dx: float, dy: float,
+                box: Box | None = None) -> np.ndarray:
+    """Order-3 spline values of x -> f(x - (dx, dy)); zero outside.
+
+    With a box, only its cells: the full shift sliced to the box, bit for
+    bit.
+    """
+    tmp, wy = _cubic_x_pass(prefiltered, h, dx, dy, box)
     if tmp is None:
-        return np.zeros((n, n))
+        n = prefiltered.n
+        (r0, r1), (c0, c1) = box or ((0, n), (0, n))
+        return np.zeros((r1 - r0, c1 - c0))
+    rows = tmp.shape[0] - 3
     out = None
     for k, w in enumerate(wy, start=-1):
         if w == 0.0:
             continue
-        part = w * tmp[2 - k:2 - k + n]
+        part = w * tmp[2 - k:2 - k + rows]
         if out is None:
             out = part
         else:
@@ -260,35 +273,39 @@ def shift_cubic(prefiltered: CubicCoeffs, h: float, dx: float, dy: float) -> np.
 
 
 def cubic_inner(P: np.ndarray, prefiltered: CubicCoeffs, h: float,
-                dx: float, dy: float) -> float:
-    """sum(P * shift_cubic(prefiltered, h, dx, dy)) without forming the
-    shift: the y pass becomes one dot product per tap."""
-    n = prefiltered.n
-    tmp, wy = _cubic_x_pass(prefiltered, h, dx, dy)
+                dx: float, dy: float, box: Box | None = None) -> float:
+    """sum(P * shift_cubic(prefiltered, h, dx, dy, box)) without forming the
+    shift: the y pass becomes one dot product per tap.  P has the box's
+    shape."""
+    tmp, wy = _cubic_x_pass(prefiltered, h, dx, dy, box)
     if tmp is None:
         return 0.0
+    rows = P.shape[0]
     flat = P.ravel()
     total = 0.0
     for k, w in enumerate(wy, start=-1):
         if w == 0.0:
             continue
-        total += w * np.dot(flat, tmp[2 - k:2 - k + n].ravel())
+        total += w * np.dot(flat, tmp[2 - k:2 - k + rows].ravel())
     return float(total)
 
 
 def cubic_inner_sum(P: np.ndarray, prefiltered: CubicCoeffs, h: float,
-                    offsets, weights) -> float:
-    """sum over k of weights[k] * cubic_inner(P, prefiltered, h, *offsets[k]),
-    read off one correlation of P with the coefficients.
+                    offsets, weights, box: Box | None = None) -> float:
+    """sum over k of weights[k] * cubic_inner(P, prefiltered, h, *offsets[k],
+    box), read off one correlation of P with the coefficients.
 
     Tap (kx, ky) of the shift by (dx, dy) reads the padded coefficients
-    through the n x n window at the integer lag (p - j0 - ky, p - i0 - kx).
-    The 4 x 4 tap weights of every offset are collected onto their lags
-    first, so each lag of the box that the offsets span is correlated with P
-    once (Unser, IEEE SPM 16(6), 1999).  Clustered offsets share most lags;
-    the cost grows with the box, not with the number of offsets.
+    through the window of P's shape at the integer lag (p - j0 - ky,
+    p - i0 - kx) past the box's origin.  The 4 x 4 tap weights of every
+    offset are collected onto their lags first, so each lag in the rectangle
+    that the offsets span is correlated with P once (Unser, IEEE SPM 16(6),
+    1999).  Clustered offsets share most lags; the cost grows with that
+    rectangle, not with the number of offsets.
     """
     n, a, p = prefiltered.n, prefiltered.padded, prefiltered.pad
+    (r0, _), (c0, _) = box or ((0, n), (0, n))
+    rows, cols = P.shape
     s = np.asarray(offsets, dtype=float).reshape(-1, 2) / h
     w = np.asarray(weights, dtype=float).ravel()
     base = np.floor(s)
@@ -312,8 +329,9 @@ def cubic_inner_sum(P: np.ndarray, prefiltered: CubicCoeffs, h: float,
     W = np.zeros((bh, bw))
     for k, (lx, ly) in enumerate(lag - lo):
         W[ly:ly + 4, lx:lx + 4] += w[k] * np.multiply.outer(wy[:, k], wx[:, k])
-    box = a[lo[1]:lo[1] + bh + n - 1, lo[0]:lo[0] + bw + n - 1]
-    corr = np.einsum("ij,abij->ab", P, sliding_window_view(box, (n, n)))
+    y0, x0 = lo[1] + r0, lo[0] + c0
+    span = a[y0:y0 + bh + rows - 1, x0:x0 + bw + cols - 1]
+    corr = np.einsum("ij,abij->ab", P, sliding_window_view(span, (rows, cols)))
     return float(np.sum(W * corr))
 
 

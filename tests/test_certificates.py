@@ -459,6 +459,17 @@ def test_replay_rejects_graph_with_an_unlabelled_vertex():
     assert "once" in res.failure
 
 
+def test_replay_rejects_a_huge_vertex_count_at_once():
+    # a hundred bytes that name 10^9 vertices: rebuilding the graph must not
+    # allocate per vertex before it finds the graph disconnected
+    forged = {"graph": {"n": 10 ** 9, "edges": [[1, 2]]}, "vertices": [1, 2],
+              "status": "proven", "witness": ["1", "1"], "sum": "2",
+              "derivation": [], "assumptions": []}
+    res = replay(forged)
+    assert not res.ok
+    assert "isolated component: (3,)" in res.failure
+
+
 def test_replay_rejects_two_vertex_block_without_its_edge():
     # drop the bridge from its edge_profile block: the region lookup, which
     # runs before the edge check, must reject the block, whose two vertices

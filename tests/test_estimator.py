@@ -613,6 +613,138 @@ def test_cubic_inner_sum_of_offsets_off_the_grid_is_zero():
                         rel_tol=1e-13)
 
 
+@st.composite
+def _box(draw, n):
+    """((row start, stop), (column start, stop)), nonempty, inside n x n."""
+    out = []
+    for _ in range(2):
+        a = draw(st.integers(0, n - 1))
+        out.append((a, draw(st.integers(a + 1, n))))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_field_and_shift(), st.data())
+def test_shift_cubic_on_a_box_is_the_full_shift_sliced(case, data):
+    # the same taps, weights and additions per cell: bit for bit, whether the
+    # shift reads the padding (reach = width) or pads a temporary (reach = 0)
+    f, dx, dy, reach = case
+    (r0, r1), (c0, c1) = box = data.draw(_box(f.size))
+    pf = grids.cubic_prefilter(f, reach)
+    got = grids.shift_cubic(pf, f.h, dx, dy, box)
+    assert np.array_equal(got, grids.shift_cubic(pf, f.h, dx, dy)[r0:r1, c0:c1])
+
+
+def test_shift_cubic_on_edge_boxes_and_off_the_grid():
+    f = field_family("gaussian", 3.0, grids.grid_spacing(3.0, 65),
+                     center=(0.2, -0.1), width=0.3)
+    n = f.size
+    edges = [[(0, 7), (0, n)], [(n - 7, n), (n - 1, n)], [(0, n), (0, 1)],
+             [(3, 40), (n - 20, n)], [(0, n), (0, n)]]
+    for reach in (0.0, 1.1):
+        pf = grids.cubic_prefilter(f, reach)
+        # inside the padding, past it (a temporary pad), and off the grid
+        for cells in (0.4, 1.7, 5.3, 30.6, n + 2.5, 2 * n):
+            for sx, sy in ((1, 0), (-1, 1), (0.3, -1)):
+                dx, dy = sx * cells * f.h, sy * cells * f.h
+                full = grids.shift_cubic(pf, f.h, dx, dy)
+                for (r0, r1), (c0, c1) in edges:
+                    box = [(r0, r1), (c0, c1)]
+                    got = grids.shift_cubic(pf, f.h, dx, dy, box)
+                    assert np.array_equal(got, full[r0:r1, c0:c1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(points=st.sampled_from([17, 25, 33]),
+       reach=st.sampled_from([0.0, 0.4]),
+       center=st.tuples(st.floats(-1.3, 1.3), st.floats(-1.3, 1.3)),
+       spread=st.sampled_from([0.0, 0.4, 1.5, 6.0]),
+       count=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_cubic_inners_on_a_box_equal_the_full_grid(points, reach, center, spread,
+                                                    count, seed, data):
+    # P vanishes off the box, so the box drops only zero terms; the sums
+    # differ only in their order, by a few ulps of the sum of |terms|
+    rng = np.random.default_rng(seed)
+    L = 2.0
+    h = grids.grid_spacing(L, points)
+    g = GridField(L, h, rng.standard_normal((points, points)))
+    pg = grids.cubic_prefilter(g, reach)
+    (r0, r1), (c0, c1) = box = data.draw(_box(points))
+    Pb = rng.standard_normal((r1 - r0, c1 - c0))
+    P = np.zeros((points, points))
+    P[r0:r1, c0:c1] = Pb
+    cells = np.array(center) * (points + 3) + spread * rng.uniform(-1, 1, (count, 2))
+    offsets = cells * h
+    weights = rng.uniform(-1.0, 1.0, count)
+    ulps = 8 * np.finfo(float).eps
+    terms = 0.0
+    for (dx, dy), w in zip(offsets, weights):
+        scale = float(np.sum(np.abs(P * grids.shift_cubic(pg, h, dx, dy))))
+        terms += abs(w) * scale
+        got = grids.cubic_inner(Pb, pg, h, dx, dy, box)
+        assert abs(got - grids.cubic_inner(P, pg, h, dx, dy)) <= ulps * scale
+    got = grids.cubic_inner_sum(Pb, pg, h, offsets, weights, box)
+    want = grids.cubic_inner_sum(P, pg, h, offsets, weights)
+    assert type(got) is float
+    assert abs(got - want) <= ulps * terms
+
+
+def _triangle_terms(method, fs, k):
+    if method == "radon-pair":
+        return estimator._radon_pair_terms(fs, k)
+    return estimator._direct_triangle_terms(fs, k, 32, 3, 3)
+
+
+@pytest.mark.parametrize("method", ["radon-pair", "direct"])
+def test_cropped_triangle_forms_agree_with_the_full_grid_within_the_bound(method):
+    fs = _moved_triangle_gaussians()
+    k = make_kernel(1 / 16, 128, radial_nodes=3)
+    n = fs[0].size
+    (r0, r1), (c0, c1) = estimator._support_box(fs[0].values, estimator.CROP_REL_TOL)
+    assert r1 - r0 < n // 2 and c1 - c0 < n // 2  # the crop saves work
+    on_box, scale = _triangle_terms(method, fs, k)
+    full = on_box([(0, n), (0, n)])
+    value, bound = estimator._cropped(fs[0], on_box, scale)
+    assert 0.0 < bound <= 1e-13 * abs(value)
+    # all factors are positive, so the rounding of either sum is a few ulps
+    # of the value on top of the truncation bound
+    assert abs(value - full) <= bound + 1e-14 * abs(full)
+    params = dict(direct_params=dict(m_alpha=32)) if method == "direct" else {}
+    assert form_evaluate(triangle(), fs, k, method=method, **params) == value
+
+
+@pytest.mark.parametrize("method", ["radon-pair", "direct"])
+def test_far_outer_factor_falls_back_to_the_full_grid(method):
+    # f's tail off its box carries the whole form, so the bound exceeds the
+    # value and the quadrature reruns on the exact-zero box: for a Gaussian
+    # the whole grid, bit for bit
+    _, g, hf = _moved_triangle_gaussians()
+    f = field_family("gaussian", g.L, g.h, center=(-2.3, 2.2), width=0.15)
+    fs = [f, g, hf]
+    k = make_kernel(1 / 16, 128, radial_nodes=3)
+    n = f.size
+    assert estimator._support_box(f.values) == [(0, n), (0, n)]
+    # the crop would drop cells, so a zero bound means the fallback ran
+    assert estimator._support_box(f.values, estimator.CROP_REL_TOL) != [(0, n), (0, n)]
+    on_box, scale = _triangle_terms(method, fs, k)
+    full = on_box([(0, n), (0, n)])
+    value, bound = estimator._cropped(f, on_box, scale)
+    assert (value, bound) == (full, 0.0)
+    params = dict(direct_params=dict(m_alpha=32)) if method == "direct" else {}
+    assert form_evaluate(triangle(), fs, k, method=method, **params) == full
+
+
+@pytest.mark.parametrize("method", ["radon-pair", "direct"])
+def test_zero_outer_factor_gives_zero(method):
+    f, g, hf = _moved_triangle_gaussians()
+    z = f.copy_with(np.zeros_like(f.values))
+    k = make_kernel(1 / 16, 128, radial_nodes=3)
+    got = form_evaluate(triangle(), [z, g, hf], k, method=method)
+    assert got == 0.0 and type(got) is float
+
+
 def test_direct_triangle_reads_lens_sums_not_single_inners(monkeypatch):
     calls = {"cubic_inner": 0, "cubic_inner_sum": 0}
 

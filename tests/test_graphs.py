@@ -75,6 +75,29 @@ def test_parse_rejects_disconnected():
     assert exc.value.component == (3, 4)
 
 
+def test_too_few_edges_name_the_component_without_allocating_per_vertex():
+    # n > |E| + 1 cannot be connected; the component comes from the edges
+    # alone, so a vertex count of 10^9 neither allocates nor scans per vertex
+    with pytest.raises(DisconnectedGraphError) as exc:
+        parse_graph("n 1000000000\ne 1 2")
+    assert exc.value.component == (3,)
+    with pytest.raises(DisconnectedGraphError) as exc:
+        Graph(10 ** 9, ((2, 3), (3, 4)))
+    assert exc.value.component == (2, 3, 4)
+    with pytest.raises(DisconnectedGraphError) as exc:
+        Graph(6, ((1, 3), (2, 4), (4, 5)))
+    assert exc.value.component == (2, 4, 5)
+
+
+def test_adjacency_is_built_once_and_left_out_of_equality():
+    g = Graph(4, ((3, 4), (1, 2), (2, 3), (1, 4)))
+    assert g.adjacency() is g.adjacency()
+    assert g.adjacency() == {1: [2, 4], 2: [1, 3], 3: [2, 4], 4: [1, 3]}
+    twin = Graph(4, ((1, 2), (1, 4), (2, 3), (3, 4)))
+    assert g == twin and hash(g) == hash(twin)
+    assert repr(g) == "Graph(n=4, edges=((1, 2), (1, 4), (2, 3), (3, 4)))"
+
+
 def test_is_tree():
     assert is_tree(path3())
     assert not is_tree(triangle())
