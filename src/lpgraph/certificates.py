@@ -20,7 +20,9 @@ none.  Each tree node's split edges name its child steps in order,
 and each vertex is derived once, except that a join lowers its cut and a
 pendant tree re-splits its root.  The derivation must use each edge of the
 certificate's graph exactly once, and each block step must claim the region
-that `block_region_for` assigns to its edges.  A contraction's `core_vertices`
+that `block_region_for` assigns to its edges.  Derivations name the graph's
+own vertices 1..n: a certificate's `vertices` is always [1, ..., n], and
+`replay` rejects any other list.  A contraction's `core_vertices`
 must list the vertices its core derives, each once, and a conditional
 certificate's `assumptions` must hold the entry that `certify` writes for
 each conditional block, which states the block's hypothesis.
@@ -83,8 +85,10 @@ class BlockRegion:
 
 @dataclass
 class Certificate:
+    """A witness and its derivation on the vertices 1..n of `graph`: the JSON
+    form's `vertices` is always [1, ..., n], and `replay` rejects any other."""
+
     graph: Graph
-    vertices: tuple[int, ...]  # global labels for the 1..n local vertices
     status: str
     witness: ExponentVector
     derivation: list[dict]
@@ -94,15 +98,10 @@ class Certificate:
     def total(self) -> Fraction:
         return self.witness.total
 
-    def global_edges(self) -> list[tuple[int, int]]:
-        """The graph's edges under the global labels, each pair sorted."""
-        return [tuple(sorted((self.vertices[i - 1], self.vertices[j - 1])))
-                for i, j in self.graph.edges]
-
     def to_json_dict(self) -> dict:
         return {
             "graph": self.graph.to_json_dict(),
-            "vertices": list(self.vertices),
+            "vertices": list(range(1, self.graph.n + 1)),
             "status": self.status,
             "witness": self.witness.to_json(),
             "sum": format_rat(self.total),
@@ -115,7 +114,6 @@ class Certificate:
         g = Graph(obj["graph"]["n"], tuple(tuple(e) for e in obj["graph"]["edges"]))
         return Certificate(
             graph=g,
-            vertices=tuple(obj["vertices"]),
             status=obj["status"],
             witness=ExponentVector.from_json(obj["witness"]),
             derivation=obj["derivation"],
@@ -288,19 +286,24 @@ def certify_tree(g: Graph) -> Certificate:
     deriv = [_tree_derivation(alloc, labels)]
     if witness.total <= 1:  # pragma: no cover - holds for every tree with an edge
         raise CertificateError("tree witness failed to beat the baseline")
-    return Certificate(graph=g, vertices=labels, status=PROVEN,
-                       witness=witness, derivation=deriv)
+    return Certificate(graph=g, status=PROVEN, witness=witness, derivation=deriv)
 
 
 def _unknown(g: Graph, assumptions: list[str]) -> Certificate:
     """No proof: a zero witness on g, with the reasons as assumptions."""
-    return Certificate(graph=g, vertices=tuple(range(1, g.n + 1)), status=UNKNOWN,
-                       witness=ExponentVector((ZERO,) * g.n), derivation=[],
-                       assumptions=assumptions)
+    return Certificate(graph=g, status=UNKNOWN, witness=ExponentVector((ZERO,) * g.n),
+                       derivation=[], assumptions=assumptions)
 
 
 # ---------------------------------------------------------------------------
 # block regions and joins
+
+
+def block_kind(block_graph: Graph) -> str:
+    """The kind of the region that `block_region_for` gives a block."""
+    if block_graph.n == 3 and block_graph.num_edges == 3:
+        return "triangle"
+    return "edge_profile" if block_graph.n == 2 else "regular_hull"
 
 
 def block_region_for(block_graph: Graph) -> BlockRegion:
@@ -309,13 +312,14 @@ def block_region_for(block_graph: Graph) -> BlockRegion:
     A single edge's region is the regular hull of its one edge, and holds
     without the regularity hypothesis.
     """
-    if block_graph.n == 3 and block_graph.num_edges == 3:
-        return BlockRegion("triangle", sufficient_vertices("triangle"), PROVEN)
+    kind = block_kind(block_graph)
+    if kind == "triangle":
+        return BlockRegion(kind, sufficient_vertices("triangle"), PROVEN)
     poly = sufficient_vertices("regular", block_graph)
-    if block_graph.n == 2:
-        return BlockRegion("edge_profile", poly, PROVEN)
+    if kind == "edge_profile":
+        return BlockRegion(kind, poly, PROVEN)
     return BlockRegion(
-        "regular_hull", poly, CONDITIONAL,
+        kind, poly, CONDITIONAL,
         note="hull bound requires the unit-distance regularity hypothesis; "
              "treated as supplying the join hypotheses",
     )
@@ -326,9 +330,9 @@ def _assumption(block_vertices: Sequence[int], region: BlockRegion) -> str:
     return f"block {list(block_vertices)}: {region.note}"
 
 
-def _placement_lp(region: VertexPolytope, maximize_coords: Sequence[int],
-                  keep_positive: Sequence[int]) -> tuple[tuple[Fraction, ...], list[Fraction]]:
-    """Pick a region point maximizing a coordinate sum, then balance.
+def _placement_lp(region: VertexPolytope, keep_positive: Sequence[int]
+                  ) -> tuple[tuple[Fraction, ...], list[Fraction]]:
+    """Pick a region point maximizing its coordinate sum, then balance.
 
     Returns (point, hull weights).  Secondary phase raises the minimum of
     the coordinates listed in keep_positive without giving up optimality.
@@ -336,7 +340,7 @@ def _placement_lp(region: VertexPolytope, maximize_coords: Sequence[int],
     nv = len(region.vertices)
     rows: list[Row] = []
     rows.append(([ONE] * nv + [ZERO], "==", ONE))
-    obj = [sum(v[i] for i in maximize_coords) for v in region.vertices] + [ZERO]
+    obj = [sum(v) for v in region.vertices] + [ZERO]
     res = solve_lp(obj, rows, maximize=True)
     assert res.optimal
     if keep_positive:
@@ -543,9 +547,7 @@ def certify(g: Graph, master_seed: int = 0, probe_seeds: int = 12) -> Certificat
 
     root_block = bd.blocks[0]
     out_cuts_root = [i for i, v in enumerate(root_block.vertices) if v in cut_set]
-    point, lam = _placement_lp(regions[0].polytope,
-                               list(range(len(root_block.vertices))),
-                               out_cuts_root)
+    point, lam = _placement_lp(regions[0].polytope, out_cuts_root)
     wmap = dict(zip(block_globals[0], point))
     fold = {"kind": "join_fold", "base": [_placed(block_steps[0], point, lam)],
             "joins": []}
@@ -607,8 +609,7 @@ def certify(g: Graph, master_seed: int = 0, probe_seeds: int = 12) -> Certificat
     if witness.total <= 1:  # pragma: no cover - root >= 1, strict gains, pendants only add
         raise CertificateError("certificate lost the strict sum")
     # only conditional blocks carry a hypothesis or probe evidence notes
-    return Certificate(graph=g, vertices=tuple(range(1, g.n + 1)),
-                       status=CONDITIONAL if assumptions else PROVEN,
+    return Certificate(graph=g, status=CONDITIONAL if assumptions else PROVEN,
                        witness=witness, derivation=derivation,
                        assumptions=assumptions + notes)
 
@@ -632,10 +633,10 @@ def replay(cert: Certificate | dict) -> ReplayResult:
     try:
         claimed = Certificate.from_json_dict(obj)
         n = claimed.graph.n
-        if not (len(claimed.vertices) == len(set(claimed.vertices)) == n
-                and len(claimed.witness) == n):
-            raise _Fail(f"vertices and witness must name each of the {n} vertices once")
-        witness = dict(zip(claimed.vertices, claimed.witness))
+        if tuple(obj["vertices"]) != tuple(range(1, n + 1)) or len(claimed.witness) != n:
+            raise _Fail(f"vertices must be [1, ..., {n}] and the witness must "
+                        f"name each of the {n} vertices once")
+        witness = dict(enumerate(claimed.witness, start=1))
         claimed_sum = rat(obj["sum"])
         if claimed.status == UNKNOWN:
             return ReplayResult(True)
@@ -643,7 +644,7 @@ def replay(cert: Certificate | dict) -> ReplayResult:
         derived, edges_used = {}, []  # vertex -> exponent; sorted edge pairs
         # the assumption entry of each conditional block step
         conditions = _check_derivation(claimed.derivation, derived, edges_used)
-        if sorted(edges_used) != sorted(claimed.global_edges()):
+        if sorted(edges_used) != list(claimed.graph.edges):
             raise _Fail("derivation does not use each edge of the graph exactly once")
         for v, x in witness.items():
             if derived.get(v) != x:

@@ -144,13 +144,16 @@ def cmd_analyze(args) -> int:
     g = _load_graph(args.graph)
     dec = contract_pendant_trees(g)
     bd = block_decomposition(g)
+    # certify's region kind per block; a single vertex's edgeless block has none
+    kinds = [certificates.block_kind(b.graph()[0]) if b.edges else None
+             for b in bd.blocks]
     result = {
         "graph": g.to_json_dict(),
         "is_tree": is_tree(g),
         "core": {
             "vertices": list(dec.core_vertices),
             "edges": [list(e) for e in dec.core_edges],
-            "empty": dec.is_tree,
+            "empty": not dec.core_vertices,
         },
         "pendant_trees": [
             {"root": t.root, "vertices": list(t.vertices),
@@ -159,8 +162,8 @@ def cmd_analyze(args) -> int:
         ],
         "blocks": [
             {"vertices": list(b.vertices), "edges": [list(e) for e in b.edges],
-             "single_edge": b.is_single_edge(), "triangle": b.is_triangle()}
-            for b in bd.blocks
+             "single_edge": kind == "edge_profile", "triangle": kind == "triangle"}
+            for b, kind in zip(bd.blocks, kinds)
         ],
         "cut_vertices": list(bd.cut_vertices),
         "block_tree": [list(e) for e in bd.block_tree],
@@ -168,16 +171,12 @@ def cmd_analyze(args) -> int:
     if args.probe_seeds > 0 and not is_tree(g):
         from .rigidity import regularity_probe
 
-        probes = []
-        for b in bd.blocks:
-            if b.is_single_edge() or b.is_triangle():
-                continue
-            bg, _ = b.graph()
-            rep = regularity_probe(bg, num_seeds=args.probe_seeds,
-                                   master_seed=args.seed)
-            probes.append({"block_vertices": list(b.vertices),
-                           **rep.to_json_dict()})
-        result["probes"] = probes
+        # certify probes the blocks that get the conditional hull, and only them
+        result["probes"] = [
+            {"block_vertices": list(b.vertices),
+             **regularity_probe(b.graph()[0], num_seeds=args.probe_seeds,
+                                master_seed=args.seed).to_json_dict()}
+            for b, kind in zip(bd.blocks, kinds) if kind == "regular_hull"]
     payload = _header("analyze", {"graph": args.graph,
                                   "probe_seeds": args.probe_seeds,
                                   "seed": args.seed})
@@ -340,6 +339,9 @@ def cmd_estimate(args) -> int:
         # "grid": {"points": N} or {"L": ..., "points": N},
         # "quadrature": {"M": ...}, "seed": ...}
         cfg = _json.loads(Path(args.config).read_text())
+        for key in ("graph", "assignment", "params"):
+            if not isinstance(cfg, dict) or key not in cfg:
+                raise ValueError(f"config {args.config} is not a JSON object with {key!r}")
         g = _load_graph(cfg["graph"])
         grid_cfg = cfg.get("grid", {})
         points = int(grid_cfg.get("points", args.grid_points))
@@ -386,7 +388,7 @@ def cmd_estimate(args) -> int:
             csv_path = Path(args.output).with_suffix(".csv")
             csv_path.write_text("\n".join(res.csv_lines()) + "\n")
     elif kind == "ratio":
-        rows = ratio_experiment(spec["p"], spec["q"], "annulus", spec["params"],
+        rows = ratio_experiment(spec["p"], spec["q"], spec["params"],
                                 grid_points=args.grid_points)
         payload["result"] = {
             "p": spec["p"], "q": spec["q"],

@@ -68,6 +68,8 @@ RADON_PAIR_FACTOR = 1.0 / (2.0 * math.sqrt(3.0) * math.pi ** 2)
 # exceeds this fraction of max |f| (`_cropped`)
 CROP_REL_TOL = 1e-16
 
+DECAY_DIRECTIONS = 8  # directions of xi per `kernel_decay_check` magnitude
+
 
 def bump(t: np.ndarray | float) -> np.ndarray | float:
     """C^1 quartic bump on [-1, 1] with unit integral."""
@@ -744,11 +746,10 @@ class RatioRow:
         return self.output_norm / self.input_norm
 
 
-def ratio_experiment(p: float, q: float, family: str,
-                     params: Sequence[float], grid_points: int = 1025
-                     ) -> list[RatioRow]:
-    """Averaging-operator norm ratios |Af|_q / |f|_p along a family, with
-    kernel width eps = param / 4."""
+def ratio_experiment(p: float, q: float, params: Sequence[float],
+                     grid_points: int = 1025) -> list[RatioRow]:
+    """Averaging-operator norm ratios |Af|_q / |f|_p along the annuli of
+    width delta = param, with kernel width eps = param / 4."""
     if p < 1 or q < 1:
         raise ValueError("exponents must be >= 1")
     rows = []
@@ -757,7 +758,7 @@ def ratio_experiment(p: float, q: float, family: str,
         dom = 1.0 + prm / 2.0 + 1.0 + eps + 0.05
         h = grids.grid_spacing(dom, grid_points)
         k = make_kernel(eps, policy_angular_nodes(h))
-        f = _scaled_field(family, prm, dom, h)
+        f = test_family("annulus", dom, h, delta=prm)
         nf = lp_norm(f, p)
         if nf == 0.0:
             raise ValueError(f"zero-norm input at parameter {prm}")
@@ -768,11 +769,11 @@ def ratio_experiment(p: float, q: float, family: str,
 
 
 def kernel_decay_check(k: MollifiedCircleKernel, freqs: Sequence[float],
-                       h: float = 1.0 / 256.0, directions: int = 8
-                       ) -> list[tuple[float, float, float]]:
+                       h: float = 1.0 / 256.0) -> list[tuple[float, float, float]]:
     """Fourier magnitude of the rasterized kernel with the decay weight.
 
-    Returns rows (|xi|, |sigma_hat|, |sigma_hat| * (1 + |xi|)^(1/2)).
+    Returns rows (|xi|, |sigma_hat|, |sigma_hat| * (1 + |xi|)^(1/2)), the
+    magnitude averaged over DECAY_DIRECTIONS directions of xi in [0, pi).
     Frequencies beyond the grid Nyquist limit are rejected.
     """
     nyquist = 0.5 / h
@@ -790,8 +791,8 @@ def kernel_decay_check(k: MollifiedCircleKernel, freqs: Sequence[float],
     rows = []
     for xi in freqs:
         mags = []
-        for dstep in range(directions):
-            ang = math.pi * dstep / directions
+        for dstep in range(DECAY_DIRECTIONS):
+            ang = math.pi * dstep / DECAY_DIRECTIONS
             kx, ky = xi * math.cos(ang), xi * math.sin(ang)
             z = np.sum(ws * np.exp(-2j * math.pi * (kx * xs + ky * ys)))
             mags.append(abs(z))

@@ -184,12 +184,12 @@ class PendantTree:
 
 @dataclass(frozen=True)
 class ContractionDecomposition:
-    """2-core plus the forest of pendant trees hanging off it."""
+    """2-core plus the forest of pendant trees hanging off it.  The core is
+    empty exactly when the whole graph is a tree."""
 
     core_vertices: tuple[int, ...]
     core_edges: tuple[Edge, ...]
     pendant_trees: tuple[PendantTree, ...]
-    is_tree: bool  # whole graph is a tree: core empty, handle via tree route
 
     def core_graph(self) -> tuple[Graph, dict[int, int]]:
         """Relabel the core to 1..k; returns (graph, original->relabeled)."""
@@ -201,8 +201,8 @@ class ContractionDecomposition:
 def contract_pendant_trees(g: Graph) -> ContractionDecomposition:
     """Iteratively strip degree-1 vertices; group removals by core root.
 
-    For a tree the stripping consumes everything and the result is flagged
-    so callers route it through the tree certificate instead.
+    For a tree the stripping consumes everything: the core and the pendant
+    trees are empty, and callers route it through the tree certificate.
     """
     adj = {v: set(ws) for v, ws in g.adjacency().items()}
     parent: dict[int, int] = {}
@@ -221,11 +221,10 @@ def contract_pendant_trees(g: Graph) -> ContractionDecomposition:
 
     gone = set(removed)
     core_vertices = tuple(v for v in range(1, g.n + 1) if v not in gone)
-    tree_flag = not core_vertices
     core_edges = tuple(e for e in g.edges if e[0] not in gone and e[1] not in gone)
 
     pendants: tuple[PendantTree, ...] = ()
-    if not tree_flag:
+    if core_vertices:
         # a parent leaves after its children, so in reverse removal order
         # it already knows its core root
         root_of: dict[int, int] = {}
@@ -247,7 +246,6 @@ def contract_pendant_trees(g: Graph) -> ContractionDecomposition:
         core_vertices=core_vertices,
         core_edges=core_edges,
         pendant_trees=pendants,
-        is_tree=tree_flag,
     )
 
 
@@ -260,12 +258,6 @@ class BlockEntry:
 
     def graph(self) -> tuple[Graph, dict[int, int]]:
         return relabel(self.vertices, self.edges)
-
-    def is_single_edge(self) -> bool:
-        return len(self.edges) == 1
-
-    def is_triangle(self) -> bool:
-        return len(self.vertices) == 3 and len(self.edges) == 3
 
 
 @dataclass(frozen=True)

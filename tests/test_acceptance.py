@@ -297,10 +297,10 @@ def test_criterion_7_oracle_cross_validation():
 
 def test_criterion_8_improving_evidence():
     t0 = time.time()
-    bounded = ratio_experiment(1.5, 3.0, "annulus", DELTAS, grid_points=1025)
+    bounded = ratio_experiment(1.5, 3.0, DELTAS, grid_points=1025)
     rb = [r.ratio for r in bounded]
     ok = max(rb) / min(rb) < 4.0
-    growing = ratio_experiment(1.5, 6.0, "annulus", DELTAS, grid_points=1025)
+    growing = ratio_experiment(1.5, 6.0, DELTAS, grid_points=1025)
     rg = [r.ratio for r in growing]
     ok &= all(a < b for a, b in zip(rg, rg[1:]))
     elapsed = time.time() - t0

@@ -459,6 +459,53 @@ def test_replay_rejects_graph_with_an_unlabelled_vertex():
     assert "once" in res.failure
 
 
+_LABEL_KEYS = ("root", "child", "cut", "block_vertices", "block_edges", "core_vertices")
+
+
+def _shift_labels(cert, by):
+    """A copy of a certificate with every vertex label raised by `by`, in
+    `vertices` and in the derivation; the graph stays on 1..n."""
+    def shift(x):
+        return [shift(y) for y in x] if isinstance(x, list) else x + by
+
+    out = copy.deepcopy(cert)
+    out["vertices"] = shift(out["vertices"])
+    stack = [out["derivation"]]
+    while stack:
+        node = stack.pop()
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for k, v in items:
+            if k in _LABEL_KEYS:
+                node[k] = shift(v)
+            elif isinstance(v, (dict, list)):
+                stack.append(v)
+    return out
+
+
+@pytest.mark.parametrize("name", ["k3", "triangle_pendant"])
+def test_replay_rejects_a_certificate_relabelled_off_1_to_n(name):
+    # the witness and the edges, renamed consistently, would still match:
+    # only the labels 101..100+n, which are not the graph's vertices, differ
+    g = parse_graph((GRAPHS / f"{name}.graph").read_text())
+    cert = certify(g).to_json_dict()
+    forged = _shift_labels(cert, 100)
+    assert forged["vertices"] == list(range(101, 101 + g.n))
+    assert forged["derivation"] != cert["derivation"]
+    res = replay(forged)
+    assert not res.ok
+    assert res.failure.startswith(f"vertices must be [1, ..., {g.n}]")
+
+
+def test_replay_rejects_permuted_vertices():
+    # path3's leaves 1 and 2 get equal exponents, so swapping them in
+    # `vertices` leaves the witness and the edge set as they were
+    cert = certify(path3()).to_json_dict()
+    assert cert["witness"][0] == cert["witness"][1]
+    res = replay(dict(cert, vertices=[2, 1, 3]))
+    assert not res.ok
+    assert res.failure.startswith("vertices must be [1, ..., 3]")
+
+
 def test_replay_rejects_a_huge_vertex_count_at_once():
     # a hundred bytes that name 10^9 vertices: rebuilding the graph must not
     # allocate per vertex before it finds the graph disconnected
@@ -658,7 +705,7 @@ def test_tree_derivation_of_a_deep_path_builds_and_replays():
         node, depth = step["subtree"], depth + 1
     assert depth == n and node["root"] == n and node["budget"] == "0"
     cert = Certificate(graph=Graph(n, tuple((v, v + 1) for v in range(1, n))),
-                       vertices=tuple(range(1, n + 1)), status="proven",
+                       status="proven",
                        witness=ExponentVector(tuple(u.values())),
                        derivation=[derivation])
     assert replay(cert).ok

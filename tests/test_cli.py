@@ -37,7 +37,7 @@ def test_certify_unknown_is_exit_zero(tmp_path, monkeypatch):
         from fractions import Fraction
 
         return certificates.Certificate(
-            graph=g, vertices=tuple(range(1, g.n + 1)), status="unknown",
+            graph=g, status="unknown",
             witness=ExponentVector((Fraction(0),) * g.n), derivation=[])
 
     monkeypatch.setattr(certificates, "certify", fake_certify)
@@ -84,6 +84,20 @@ def test_analyze_pendant_figure(tmp_path):
     assert res["is_tree"] is False
     assert res["core"]["vertices"] == [6, 7, 8]
     assert len(res["pendant_trees"]) == 1
+
+
+def test_analyze_single_vertex(tmp_path):
+    # the one block of a single vertex has no edge, so no region and no kind
+    graph = tmp_path / "n1.graph"
+    graph.write_text("n 1\n")
+    code, out = run(["analyze", str(graph)], tmp_path)
+    assert code == 0
+    res = json.loads(out.read_text())["result"]
+    assert res["is_tree"] is True
+    assert res["core"] == {"vertices": [], "edges": [], "empty": True}
+    assert res["blocks"] == [{"vertices": [1], "edges": [], "single_edge": False,
+                              "triangle": False}]
+    assert "probes" not in res
 
 
 def test_realize_near_collinear(tmp_path):
@@ -298,6 +312,36 @@ def test_estimate_config(tmp_path):
     assert again.read_bytes() == out.read_bytes()
     assert (again.with_suffix(".csv").read_bytes()
             == out.with_suffix(".csv").read_bytes())
+
+
+@pytest.mark.parametrize("preset,points", [
+    ("bigball", "0"), ("bigball", "1"), ("bigball", "2"), ("ratio-bounded", "2"),
+    ("k3-oracles", "2")])
+def test_estimate_on_too_few_grid_points_is_a_usage_error(tmp_path, capsys, preset, points):
+    # before the check, 1 and 2 points divided by zero and 0 points failed
+    # inside numpy
+    code, out = run(["estimate", "--preset", preset, "--grid-points", points], tmp_path)
+    assert code == 1
+    assert (capsys.readouterr().err
+            == f"error: a grid needs at least 3 points per axis, got {points}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg,missing", [
+    ([1, 2], "graph"),
+    ({"assignment": ["ball"] * 3, "params": [0.125]}, "graph"),
+    ({"graph": str(GRAPHS / "path3.graph"), "params": [0.125]}, "assignment"),
+    ({"graph": str(GRAPHS / "path3.graph"), "assignment": ["ball"] * 3}, "params"),
+])
+def test_estimate_config_without_a_required_key_is_a_usage_error(tmp_path, capsys,
+                                                                 cfg, missing):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run(["estimate", "--config", str(path)], tmp_path)
+    assert code == 1
+    assert (capsys.readouterr().err
+            == f"error: config {path} is not a JSON object with {missing!r}\n")
+    assert not out.exists()
 
 
 def test_estimate_config_seeds_the_monte_carlo(tmp_path):

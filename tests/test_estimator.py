@@ -218,7 +218,7 @@ def test_tree_and_ratio_values_pinned():
         res = scaling_experiment(path3(), assignment, params, grid_points=257)
         for row, w in zip(res.rows, want, strict=True):
             assert abs(row.value - w) <= 1e-12 * w
-    rows = ratio_experiment(1.5, 3.0, "annulus", params, grid_points=257)
+    rows = ratio_experiment(1.5, 3.0, params, grid_points=257)
     want_norms = ((0.8520614100611806, 0.27617328382100975),
                   (0.5246370192134759, 0.1663242888352169),
                   (0.3461113063054117, 0.1055335395168971),
@@ -244,7 +244,7 @@ def test_bigball_and_growing_ratio_values_pinned():
         assert len(row.norms) == 3
         for n in row.norms:
             assert abs(n - norm) <= 1e-12 * norm
-    rows = ratio_experiment(1.5, 6.0, "annulus", (0.125, 0.0625, 0.03125, 0.015625),
+    rows = ratio_experiment(1.5, 6.0, (0.125, 0.0625, 0.03125, 0.015625),
                             grid_points=257)
     want_norms = ((0.8520614100611806, 0.4705436424935144),
                   (0.5246370192134759, 0.36062717290557983),
@@ -957,7 +957,7 @@ def test_scaling_experiment_shape_and_csv():
 
 
 def test_ratio_experiment_l1_contraction():
-    rows = ratio_experiment(1.0, 1.0, "annulus", [1 / 8], grid_points=257)
+    rows = ratio_experiment(1.0, 1.0, [1 / 8], grid_points=257)
     assert rows[0].ratio <= 1.0 + 1e-6
 
 

@@ -2,6 +2,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lpgraph.certificates import block_kind, block_region_for
 from lpgraph.graphs import (
     DisconnectedGraphError,
     Graph,
@@ -18,6 +19,13 @@ from lpgraph.graphs import (
 
 from graph_figures import (cycle, single_edge, triangle_with_pendant_tree, two_block_figure,
                            two_triangles)
+
+
+def _kind(block) -> str:
+    """The kind of the region that certificates give a block with an edge."""
+    bg = block.graph()[0]
+    assert block_kind(bg) == block_region_for(bg).kind
+    return block_kind(bg)
 
 
 def _connected(n: int, edges) -> bool:
@@ -108,9 +116,10 @@ def test_is_tree():
 
 
 def test_contraction_of_pendant_figure():
-    dec = contract_pendant_trees(triangle_with_pendant_tree())
+    g = triangle_with_pendant_tree()
+    dec = contract_pendant_trees(g)
     assert dec.core_vertices == (6, 7, 8)
-    assert not dec.is_tree
+    assert not is_tree(g)
     assert len(dec.pendant_trees) == 1
     t = dec.pendant_trees[0]
     assert t.root == 6
@@ -126,7 +135,7 @@ def test_contraction_of_triangle_is_identity():
 def test_contraction_of_path_consumes_everything():
     dec = contract_pendant_trees(path3())
     assert dec.core_vertices == ()
-    assert dec.is_tree
+    assert is_tree(path3())
 
 
 def test_blocks_of_figure_graph():
@@ -147,14 +156,14 @@ def test_blocks_of_path():
     bd = block_decomposition(path3())
     assert len(bd.blocks) == 2
     assert bd.cut_vertices == (3,)
-    assert all(b.is_single_edge() for b in bd.blocks)
+    assert all(_kind(b) == "edge_profile" for b in bd.blocks)
 
 
 def test_two_triangles_blocks():
     bd = block_decomposition(two_triangles())
     assert len(bd.blocks) == 2
     assert bd.cut_vertices == (3,)
-    assert all(b.is_triangle() for b in bd.blocks)
+    assert all(_kind(b) == "triangle" for b in bd.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +195,7 @@ def test_blocks_are_biconnected_or_single_edges_exhaustive_small():
         bd = block_decomposition(g)
         for b in bd.blocks:
             bg, _ = b.graph()
-            if not b.is_single_edge():
+            if _kind(b) != "edge_profile":
                 assert nx.is_biconnected(_nx(bg))
         # edge sets of blocks partition the edges
         all_edges = [e for b in bd.blocks for e in b.edges]
@@ -268,9 +277,11 @@ def test_bfs_tree_matches_networkx(n_edges, data):
 @settings(max_examples=120, deadline=None)
 def test_contraction_partitions_edges(g):
     dec = contract_pendant_trees(g)
-    if dec.is_tree:
-        # whole graph strips away; the tree route takes over
-        assert dec.core_vertices == () and dec.pendant_trees == ()
+    # the core is empty exactly for a tree, which strips away; the tree
+    # route takes over
+    assert (dec.core_vertices == ()) == is_tree(g)
+    if is_tree(g):
+        assert dec.pendant_trees == ()
         return
     forest_edges = [e for t in dec.pendant_trees for e in t.edges]
     assert sorted(list(dec.core_edges) + forest_edges) == list(g.edges)
@@ -302,7 +313,7 @@ def test_block_tree_is_acyclic_and_spanning(g):
     assert nx.is_tree(t) or len(bd.blocks) == 1
     for b in bd.blocks:
         bg, _ = b.graph()
-        assert b.is_single_edge() or nx.is_biconnected(_nx(bg))
+        assert _kind(b) == "edge_profile" or nx.is_biconnected(_nx(bg))
 
 
 @given(st.one_of(connected_graphs(n_max=9), cactus_graphs()))
@@ -325,4 +336,4 @@ def test_deep_inputs_decompose_without_recursion():
                               for e in ((k, k + 1), (k, k + 2), (k + 1, k + 2))))
     bd = block_decomposition(chain)
     assert (len(bd.blocks), len(bd.cut_vertices), len(bd.block_tree)) == (1000, 999, 999)
-    assert all(b.is_triangle() for b in bd.blocks)
+    assert all(_kind(b) == "triangle" for b in bd.blocks)
