@@ -6,6 +6,13 @@ tool version; identical configuration and master seed reproduce the
 artifact byte for byte.  Exit codes: 0 success (an "unknown" certificate
 is a valid answer), 1 usage error, 2 computation failure.
 
+An estimate header holds exactly the settings that its run reads.  Its
+--config is a JSON object with the keys graph (path string), assignment
+(list of strings), params (list of numbers), epsilon (number; param / 4
+when absent), grid.points (odd integer; --grid-points when absent), grid.L
+(number) and seed (integer; --seed when absent); the first three are
+required, and any other key or type is a usage error.
+
 Only realize, estimate, and analyze or certify on a graph whose blocks
 need a rank probe load numpy; they import it when they run.  Every other
 run uses exact rationals and the standard library alone.
@@ -34,7 +41,7 @@ from .exponents import (
     region_compare,
     sufficient_vertices,
 )
-from .graphs import Graph, parse_graph
+from .graphs import Graph, parse_graph, path3, triangle
 
 USAGE_ERROR = 1
 COMPUTE_ERROR = 2
@@ -297,155 +304,162 @@ def cmd_realize(args) -> int:
     return 0
 
 
+# the shrinking ball radii and annulus widths of the chain3 and ratio presets
+_DELTAS = (0.125, 0.0625, 0.03125, 0.015625)
+# per preset: its kind and the settings it fixes
 _PRESETS = {
-    "chain3-ball-ball-annulus": dict(kind="scaling",
-                                     assignment=("ball", "ball", "annulus"),
-                                     params=(0.125, 0.0625, 0.03125, 0.015625),
-                                     epsilon_policy="quarter", expected=3.0),
-    "chain3-annulus-annulus-ball": dict(kind="scaling",
-                                        assignment=("annulus", "annulus", "ball"),
-                                        params=(0.125, 0.0625, 0.03125, 0.015625),
-                                        epsilon_policy="quarter", expected=2.0),
-    "chain3-ball-constant-annulus": dict(kind="scaling",
-                                         assignment=("ball", "constant", "annulus"),
-                                         params=(0.125, 0.0625, 0.03125, 0.015625),
-                                         epsilon_policy="quarter", expected=2.0),
-    "bigball": dict(kind="scaling", assignment=("ball", "ball", "ball"),
-                    params=(2.0, 3.0, 4.0, 5.0, 6.0),
-                    epsilon_policy="fixed"),
-    "ratio-bounded": dict(kind="ratio", p=1.5, q=3.0,
-                          params=(0.125, 0.0625, 0.03125, 0.015625)),
-    "ratio-growing": dict(kind="ratio", p=1.5, q=6.0,
-                          params=(0.125, 0.0625, 0.03125, 0.015625)),
-    "kernel-decay": dict(kind="decay", epsilon=1.0 / 64.0),
-    "k3-oracles": dict(kind="oracles"),
+    "chain3-ball-ball-annulus": ("scaling", dict(
+        assignment=("ball", "ball", "annulus"), params=_DELTAS, expected=3.0)),
+    "chain3-annulus-annulus-ball": ("scaling", dict(
+        assignment=("annulus", "annulus", "ball"), params=_DELTAS, expected=2.0)),
+    "chain3-ball-constant-annulus": ("scaling", dict(
+        assignment=("ball", "constant", "annulus"), params=_DELTAS, expected=2.0)),
+    "bigball": ("scaling", dict(assignment=("ball", "ball", "ball"),
+                                params=(2.0, 3.0, 4.0, 5.0, 6.0), epsilon=1.0 / 16.0)),
+    "ratio-bounded": ("ratio", dict(p=1.5, q=3.0, params=_DELTAS)),
+    "ratio-growing": ("ratio", dict(p=1.5, q=6.0, params=_DELTAS)),
+    "kernel-decay": ("decay", dict(epsilon=1.0 / 64.0)),
+    "k3-oracles": ("oracles", {}),
+}
+
+# the --config keys, a dotted one inside "grid", with their types; a list
+# type holds the type of its entries
+_NUMBER = (int, float)
+_CONFIG_KEYS = {
+    "graph": ("a path string", str), "assignment": ("a list of strings", [str]),
+    "params": ("a list of numbers", [_NUMBER]), "epsilon": ("a number", _NUMBER),
+    "grid": ("an object", dict), "grid.points": ("an integer", int),
+    "grid.L": ("a number", _NUMBER), "seed": ("an integer", int),
+}
+
+
+def _fits(value, want) -> bool:
+    if isinstance(want, list):
+        return isinstance(value, list) and all(_fits(v, want[0]) for v in value)
+    return isinstance(value, want) and not isinstance(value, bool)  # JSON true is an int
+
+
+def _read_config(path: str, grid_points: int, seed: int) -> dict:
+    """The scaling run that the JSON file at path describes, checked
+    against _CONFIG_KEYS, with --grid-points and --seed filled in where it
+    names neither."""
+    import json
+
+    cfg = json.loads(Path(path).read_text())
+    for key in ("graph", "assignment", "params"):
+        if not isinstance(cfg, dict) or key not in cfg:
+            raise ValueError(f"config {path} is not a JSON object with {key!r}")
+    grid = cfg.get("grid", {})
+    inner = grid.items() if isinstance(grid, dict) else ()
+    for key, value in [*cfg.items(), *((f"grid.{k}", v) for k, v in inner)]:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"config {path}: unknown key {key!r}; "
+                             f"the keys are {', '.join(_CONFIG_KEYS)}")
+        what, want = _CONFIG_KEYS[key]
+        if not _fits(value, want):
+            raise ValueError(f"config {path}: {key!r} must be {what}, got {value!r}")
+    return {**cfg, "grid": {**grid, "points": grid.get("points", grid_points)},
+            "seed": cfg.get("seed", seed)}
+
+
+# each runner reads its settings from the config that the header echoes and
+# returns the result with its CSV lines, or None for no CSV
+
+
+def _estimate_scaling(config: dict):
+    from .estimator import scaling_experiment
+
+    if "preset" in config:  # the scaling presets run on the 3-chain
+        g, grid = path3(), {"points": config["grid_points"]}
+    else:
+        g, grid = _load_graph(config["graph"]), config["grid"]
+    res = scaling_experiment(
+        g, config["assignment"], [float(p) for p in config["params"]],
+        grid_points=grid["points"], L=grid.get("L"),
+        epsilon=config.get("epsilon"), master_seed=config.get("seed", 0))
+    result = res.to_json_dict()
+    if "expected" in config:
+        result["expected_slope"] = config["expected"]
+    return result, res.csv_lines()
+
+
+def _estimate_ratio(config: dict):
+    from .estimator import ratio_experiment
+
+    rows = [{"param": r.param, "input_norm": r.input_norm,
+             "output_norm": r.output_norm, "ratio": r.ratio}
+            for r in ratio_experiment(config["p"], config["q"], config["params"],
+                                      grid_points=config["grid_points"])]
+    return {"p": config["p"], "q": config["q"], "rows": rows}, [
+        ",".join(rows[0]), *(",".join(f"{v:.17g}" for v in r.values()) for r in rows)]
+
+
+def _estimate_decay(config: dict):
+    from .estimator import kernel_decay_check, make_kernel
+
+    freqs = [1.0] + [float(v) for v in range(2, 65, 2)]
+    rows = kernel_decay_check(make_kernel(config["epsilon"], 512), freqs, h=1.0 / 256.0)
+    return {"epsilon": config["epsilon"], "rows": [
+        {"freq": a, "magnitude": b, "normalized": c} for a, b, c in rows]}, None
+
+
+def _estimate_oracles(config: dict):
+    from . import grids, rigidity
+    from .estimator import form_evaluate, make_kernel, test_family
+
+    g, L = triangle(), 2.6
+    h = grids.grid_spacing(L, config["grid_points"])
+    r0 = 1.0 / math.sqrt(3.0)
+    centers = [(r0 * math.cos(a), r0 * math.sin(a))
+               for a in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)]
+    fields = [test_family("gaussian", L, h, center=c, width=0.15)
+              for c in centers]
+    k64 = make_kernel(1.0 / 64.0, 512, radial_nodes=4)
+    k32 = make_kernel(1.0 / 32.0, 512, radial_nodes=4)
+    v_radon = form_evaluate(g, fields, k64, method="radon-pair")
+    v_direct = form_evaluate(g, fields, k64, method="direct")
+    v_grid = form_evaluate(g, fields, k32, method="radon-pair")
+    est = rigidity.leray_mc_form(g, fields, epsilon=1.0 / 32.0,
+                                 samples=config["mc_samples"],
+                                 master_seed=config["seed"])
+    v_mc = est.value / (2.0 * math.pi) ** 3
+    return {"radon_pair": v_radon, "direct": v_direct,
+            "radon_vs_direct_rel": abs(v_radon - v_direct) / abs(v_direct),
+            "grid_eps32": v_grid, "mc_eps32": v_mc,
+            "mc_std_error": est.std_error / (2.0 * math.pi) ** 3,
+            "mc_shell_hits": est.shell_hits,
+            "grid_vs_mc_rel": abs(v_grid - v_mc) / abs(v_grid)}, None
+
+
+# per kind: the command-line options that its presets read, and its runner
+_KINDS = {
+    "scaling": (("grid_points",), _estimate_scaling),
+    "ratio": (("grid_points",), _estimate_ratio),
+    "decay": ((), _estimate_decay),
+    "oracles": (("seed", "grid_points", "mc_samples"), _estimate_oracles),
 }
 
 
 def cmd_estimate(args) -> int:
-    import json as _json
+    # the estimator loads scipy.fft, which no other subcommand needs; the
+    # runners import it when they run
+    from .rigidity import ZeroAcceptanceError
 
-    # the estimator loads scipy.fft, which no other subcommand needs
-    from . import grids
-    from .estimator import (form_evaluate, kernel_decay_check, make_kernel,
-                            ratio_experiment, scaling_experiment, test_family)
-
-    if not args.config and not args.preset:
-        sys.stderr.write("error: estimate needs --preset or --config\n")
-        return USAGE_ERROR
     if args.config:
-        # JSON experiment description: {"graph": path, "assignment": [...],
-        # "params": [...], "epsilon_policy": "quarter"|"fixed",
-        # "grid": {"points": N} or {"L": ..., "points": N},
-        # "quadrature": {"M": ...}, "seed": ...}
-        cfg = _json.loads(Path(args.config).read_text())
-        for key in ("graph", "assignment", "params"):
-            if not isinstance(cfg, dict) or key not in cfg:
-                raise ValueError(f"config {args.config} is not a JSON object with {key!r}")
-        g = _load_graph(cfg["graph"])
-        grid_cfg = cfg.get("grid", {})
-        points = int(grid_cfg.get("points", args.grid_points))
-        L = grid_cfg.get("L")
-        resolved = dict(cfg)
-        resolved.setdefault("seed", args.seed)
-        res = scaling_experiment(
-            g, tuple(cfg["assignment"]), [float(p) for p in cfg["params"]],
-            grid_points=points, L=L,
-            epsilon_policy=cfg.get("epsilon_policy", "quarter"),
-            fixed_epsilon=float(cfg.get("fixed_epsilon", 1.0 / 16.0)),
-            master_seed=int(resolved["seed"]))
-        payload = _header("estimate", resolved)
-        payload["result"] = res.to_json_dict()
-        if args.output:
-            Path(args.output).with_suffix(".csv").write_text(
-                "\n".join(res.csv_lines()) + "\n")
-        emit_json(payload, args.output)
-        return 0
-
-    if args.preset not in _PRESETS:
-        sys.stderr.write(f"error: unknown preset {args.preset!r}; "
-                         f"choose from {sorted(_PRESETS)}\n")
-        return USAGE_ERROR
-    spec = dict(_PRESETS[args.preset])
-    kind = spec.pop("kind")
-    config = {"preset": args.preset, "seed": args.seed,
-              "grid_points": args.grid_points, **{
-                  k: (list(v) if isinstance(v, tuple) else v)
-                  for k, v in spec.items()}}
+        kind, config = "scaling", _read_config(args.config, args.grid_points, args.seed)
+    else:
+        kind, spec = _PRESETS[args.preset]
+        config = {"preset": args.preset,
+                  **{opt: getattr(args, opt) for opt in _KINDS[kind][0]}, **spec}
+    try:
+        result, csv = _KINDS[kind][1](config)
+    except ZeroAcceptanceError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return COMPUTE_ERROR
+    if csv and args.output:
+        Path(args.output).with_suffix(".csv").write_text("\n".join(csv) + "\n")
     payload = _header("estimate", config)
-
-    from .graphs import path3, triangle
-
-    if kind == "scaling":
-        res = scaling_experiment(
-            path3(), spec["assignment"], spec["params"],
-            grid_points=args.grid_points,
-            epsilon_policy=spec["epsilon_policy"])
-        payload["result"] = res.to_json_dict()
-        if "expected" in spec:
-            payload["result"]["expected_slope"] = spec["expected"]
-        if args.output:
-            csv_path = Path(args.output).with_suffix(".csv")
-            csv_path.write_text("\n".join(res.csv_lines()) + "\n")
-    elif kind == "ratio":
-        rows = ratio_experiment(spec["p"], spec["q"], spec["params"],
-                                grid_points=args.grid_points)
-        payload["result"] = {
-            "p": spec["p"], "q": spec["q"],
-            "rows": [{"param": r.param, "input_norm": r.input_norm,
-                      "output_norm": r.output_norm, "ratio": r.ratio}
-                     for r in rows],
-        }
-        if args.output:
-            csv_path = Path(args.output).with_suffix(".csv")
-            lines = ["param,input_norm,output_norm,ratio"]
-            for r in rows:
-                lines.append(f"{r.param:.17g},{r.input_norm:.17g},"
-                             f"{r.output_norm:.17g},{r.ratio:.17g}")
-            csv_path.write_text("\n".join(lines) + "\n")
-    elif kind == "decay":
-        k = make_kernel(spec["epsilon"], 512)
-        freqs = [1.0] + [float(v) for v in range(2, 65, 2)]
-        rows = kernel_decay_check(k, freqs, h=1.0 / 256.0)
-        payload["result"] = {
-            "epsilon": spec["epsilon"],
-            "rows": [{"freq": a, "magnitude": b, "normalized": c}
-                     for a, b, c in rows],
-        }
-    elif kind == "oracles":
-        from . import rigidity
-
-        g = triangle()
-        L = 2.6
-        h = grids.grid_spacing(L, args.grid_points)
-        r0 = 1.0 / math.sqrt(3.0)
-        centers = [(r0 * math.cos(a), r0 * math.sin(a))
-                   for a in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)]
-        fields = [test_family("gaussian", L, h, center=c, width=0.15)
-                  for c in centers]
-        k64 = make_kernel(1.0 / 64.0, 512, radial_nodes=4)
-        k32 = make_kernel(1.0 / 32.0, 512, radial_nodes=4)
-        v_radon = form_evaluate(g, fields, k64, method="radon-pair")
-        v_direct = form_evaluate(g, fields, k64, method="direct")
-        v_grid = form_evaluate(g, fields, k32, method="radon-pair")
-        try:
-            est = rigidity.leray_mc_form(g, fields, epsilon=1.0 / 32.0,
-                                         samples=args.mc_samples,
-                                         master_seed=args.seed)
-        except rigidity.ZeroAcceptanceError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return COMPUTE_ERROR
-        v_mc = est.value / (2.0 * math.pi) ** 3
-        payload["result"] = {
-            "radon_pair": v_radon,
-            "direct": v_direct,
-            "radon_vs_direct_rel": abs(v_radon - v_direct) / abs(v_direct),
-            "grid_eps32": v_grid,
-            "mc_eps32": v_mc,
-            "mc_std_error": est.std_error / (2.0 * math.pi) ** 3,
-            "mc_shell_hits": est.shell_hits,
-            "grid_vs_mc_rel": abs(v_grid - v_mc) / abs(v_grid),
-        }
+    payload["result"] = result
     emit_json(payload, args.output)
     return 0
 
@@ -501,8 +515,13 @@ def build_parser() -> _Parser:
     pr.set_defaults(func=cmd_realize)
 
     pe = sub.add_parser("estimate", help="scaling, ratio, decay, oracle runs")
-    pe.add_argument("--preset", help=", ".join(sorted(_PRESETS)))
-    pe.add_argument("--config", help="JSON experiment description")
+    run = pe.add_mutually_exclusive_group(required=True)
+    run.add_argument("--preset", choices=sorted(_PRESETS), metavar="PRESET",
+                     help=", ".join(sorted(_PRESETS)))
+    run.add_argument("--config", help=(
+        "JSON scaling run, keys: graph (path string), assignment (list of strings), "
+        "params (list of numbers), epsilon (number), grid.points (odd integer), "
+        "grid.L (number), seed (integer); the first three are required"))
     pe.add_argument("--grid-points", type=int, default=513)
     pe.add_argument("--mc-samples", type=int, default=1_000_000)
     pe.add_argument("--seed", type=int, default=0)

@@ -657,29 +657,19 @@ def fit_loglog(params: Sequence[float], values: Sequence[float]
     return float(coef[0]), residual
 
 
-def _scaled_field(spec: str, param: float, L: float, h: float) -> GridField:
-    if spec == "ball":
-        return test_family("ball", L, h, delta=param)
-    if spec == "annulus":
-        return test_family("annulus", L, h, delta=param)
-    if spec == "constant":
-        return test_family("constant", L, h)
-    raise ValueError(f"unknown assignment entry {spec!r}")
-
-
 def scaling_experiment(g: Graph, assignment: Sequence[str],
                        params: Sequence[float], grid_points: int = 513,
                        L: float | None = None,
-                       epsilon_policy: str = "quarter",
-                       fixed_epsilon: float = 1.0 / 16.0,
+                       epsilon: float | None = None,
                        master_seed: int = 0) -> ScalingResult:
     """Form values along a shrinking-parameter family, with a log-log fit.
 
-    epsilon_policy "quarter" couples the kernel width to the parameter
-    (eps = delta / 4) so mollification never smears the test geometry;
-    "fixed" keeps fixed_epsilon (used for growing-ball runs).  master_seed
-    seeds the shell Monte Carlo, which evaluates every graph that is neither
-    a tree nor a triangle.
+    Each vertex takes the test family its assignment entry names ("ball",
+    "annulus" or "constant") at the row's parameter.  epsilon is the kernel
+    width of every row; None couples it to the parameter (eps = param / 4)
+    so mollification never smears the test geometry, and the growing-ball
+    runs pass a fixed width.  master_seed seeds the shell Monte Carlo, which
+    evaluates every graph that is neither a tree nor a triangle.
 
     A growing-ball fit on the 3-chain reaches the slope d = 2 of |B_R| only
     for R >> 1: the averaged indicator has a plateau of radius R - 1, so the
@@ -688,22 +678,13 @@ def scaling_experiment(g: Graph, assignment: Sequence[str],
     """
     if len(assignment) != g.n:
         raise ValueError("assignment must name one family per vertex")
-    ps = sorted(params, reverse=True)
     rows: list[ScalingRow] = []
-    for p in ps:
-        if epsilon_policy == "quarter":
-            eps = p / 4.0
-        elif epsilon_policy == "fixed":
-            eps = fixed_epsilon
-        else:
-            raise ValueError(f"unknown epsilon policy {epsilon_policy!r}")
+    for p in sorted(params, reverse=True):
+        eps = p / 4.0 if epsilon is None else epsilon
         if L is None:
-            geom = 0.0
-            for spec in assignment:
-                if spec == "ball":
-                    geom = max(geom, p)
-                elif spec == "annulus":
-                    geom = max(geom, 1.0 + p / 2.0)
+            # the outer radius of the balls and annuli
+            geom = max([0.0, *(p if spec == "ball" else 1.0 + p / 2.0
+                               for spec in assignment if spec in ("ball", "annulus"))])
             if "constant" in assignment:
                 # a global factor is only averaged correctly 1+eps inside
                 dom = geom + 1.0 + eps + 0.05
@@ -716,7 +697,7 @@ def scaling_experiment(g: Graph, assignment: Sequence[str],
         h = grids.grid_spacing(dom, grid_points)
         k = make_kernel(eps, policy_angular_nodes(h))
         # one field object per distinct entry, so equal leaves average once
-        built = {spec: _scaled_field(spec, p, dom, h)
+        built = {spec: test_family(spec, dom, h, delta=p)
                  for spec in dict.fromkeys(assignment)}
         val = form_evaluate(g, [built[spec] for spec in assignment], k,
                             master_seed=master_seed)

@@ -117,9 +117,11 @@ def field_from_function(L: float, h: float,
 
 
 def grid_spacing(L: float, points: int) -> float:
-    """Spacing so the grid has `points` >= 3 samples per axis (rounded odd)."""
+    """Spacing so the grid has `points` samples per axis, an odd count >= 3."""
     if points < 3:
         raise ValueError(f"a grid needs at least 3 points per axis, got {points}")
+    if points % 2 == 0:
+        raise ValueError(f"a grid needs an odd number of points per axis, got {points}")
     m = (points - 1) // 2
     return L / m
 

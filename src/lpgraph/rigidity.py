@@ -349,12 +349,12 @@ def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
     order: the root cell and the two root jitters, then per child its radius
     and stratified angle.  A non-tree edge between two children of one
     parent can only fire when their folded angle lies in the window of
-    _sibling_window.  A graph with such edges makes all its draws first and
-    places, tests and weighs only the samples inside every window; the
-    others weigh exactly zero.  The kept weights are scattered back into
-    the full batch before it is summed, so the estimate is the one of
-    placing every sample.  A graph with no such edge draws each child as it
-    places it, with no gather.  Deterministic for a fixed master seed.
+    _sibling_window.  Every batch makes all its draws first and places,
+    tests and weighs only the samples inside every window (all of them,
+    when the graph has no such edge); the others weigh exactly zero.  The
+    kept weights are scattered back into the full batch before it is
+    summed, so the estimate is the one of placing every sample.
+    Deterministic for a fixed master seed.
     """
     if not 0.0 < epsilon < 1.0:
         # radii on [1 - eps, 1 + eps] must be positive
@@ -387,22 +387,18 @@ def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
         jitter = rng.random(m), rng.random(m)
         # per child its radius and stratified angle (random stratum pairing
         # cuts the variance of the angular hit windows without biasing the
-        # mean), drawn as the loop below asks for them unless a window
-        # needs every angle first
-        children = ((v, rng.uniform(1.0 - epsilon, 1.0 + epsilon, m),
+        # mean)
+        children = [(v, rng.uniform(1.0 - epsilon, 1.0 + epsilon, m),
                      (rng.permutation(m) + rng.random(m)) * (2.0 * math.pi / m))
-                    for v in order[1:])
-        kept = None
-        if siblings:
-            children = list(children)
-            angle = {v: th for v, _, th in children}
-            fits = np.ones(m, dtype=bool)
-            for i, j in siblings:
-                fits &= _in_sibling_window(angle[i], angle[j], window)
-            kept = np.flatnonzero(fits)
-            draws = draws[kept]
-            jitter = jitter[0][kept], jitter[1][kept]
-            children = [(v, r[kept], th[kept]) for v, r, th in children]
+                    for v in order[1:]]
+        angle = {v: th for v, _, th in children}
+        fits = np.ones(m, dtype=bool)
+        for i, j in siblings:
+            fits &= _in_sibling_window(angle[i], angle[j], window)
+        kept = np.flatnonzero(fits)
+        draws = draws[kept]
+        jitter = jitter[0][kept], jitter[1][kept]
+        children = [(v, r[kept], th[kept]) for v, r, th in children]
 
         k = draws.size
         pts = np.empty((g.n, 2, k))  # one contiguous row per vertex and axis
@@ -432,13 +428,11 @@ def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
         for v in range(2, g.n + 1):
             wa *= functions[v - 1].sample_bilinear(pts[v - 1][:, acc].T)
         w[acc] = wa
-        if kept is not None:
-            # the pairwise sum of the full batch, zeros included, rounds as
-            # it would had every sample been placed
-            full = np.zeros(m)
-            full[kept] = w
-            w = full
-        return float(np.sum(w)), float(np.sum(w * w)), acc.size
+        # the pairwise sum of the full batch, zeros included, rounds as it
+        # would had every sample been placed
+        full = np.zeros(m)
+        full[kept] = w
+        return float(np.sum(full)), float(np.sum(full * full)), acc.size
 
     total = total_sq = 0.0
     hits = 0

@@ -223,11 +223,10 @@ def test_criterion_6d_scaling_growing_balls():
     t0 = time.time()
     far = scaling_experiment(path3(), ("ball", "ball", "ball"),
                              [20.0, 40.0, 80.0, 160.0], grid_points=513,
-                             epsilon_policy="fixed", fixed_epsilon=1.0 / 16.0)
+                             epsilon=1.0 / 16.0)
     near_radii = [2.0, 3.0, 4.0, 5.0, 6.0]
     near = scaling_experiment(path3(), ("ball", "ball", "ball"), near_radii,
-                              grid_points=513, epsilon_policy="fixed",
-                              fixed_epsilon=1.0 / 16.0)
+                              grid_points=513, epsilon=1.0 / 16.0)
     elapsed = time.time() - t0
     ok = abs(far.slope - 2.0) <= 0.2
     rel = max(abs(row.value / ball_radial_integral(row.param) - 1.0)

@@ -292,6 +292,14 @@ def test_estimate_zero_acceptance_is_a_compute_error(tmp_path, monkeypatch, caps
     assert code == 2
     assert "no sample landed in the shell" in capsys.readouterr().err
     assert not out.exists()
+    # a config on C4 runs the same Monte Carlo inside its form
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"graph": str(GRAPHS / "c4.graph"), "assignment": ["ball"] * 4,
+                                "params": [1.0], "grid": {"L": 2.5, "points": 33}}))
+    code, out = run(["estimate", "--config", str(path)], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == "error: no sample landed in the shell\n"
+    assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
 def test_estimate_config(tmp_path):
@@ -341,6 +349,114 @@ def test_estimate_config_without_a_required_key_is_a_usage_error(tmp_path, capsy
     assert code == 1
     assert (capsys.readouterr().err
             == f"error: config {path} is not a JSON object with {missing!r}\n")
+    assert not out.exists()
+
+
+DELTAS = [0.125, 0.0625, 0.03125, 0.015625]
+
+
+@pytest.mark.parametrize("preset,settings", [
+    ("chain3-ball-ball-annulus", {"grid_points": 33, "assignment": ["ball", "ball", "annulus"],
+                                  "params": DELTAS, "expected": 3.0}),
+    ("chain3-annulus-annulus-ball", {"grid_points": 33,
+                                     "assignment": ["annulus", "annulus", "ball"],
+                                     "params": DELTAS, "expected": 2.0}),
+    ("chain3-ball-constant-annulus", {"grid_points": 33,
+                                      "assignment": ["ball", "constant", "annulus"],
+                                      "params": DELTAS, "expected": 2.0}),
+    ("bigball", {"grid_points": 33, "assignment": ["ball", "ball", "ball"],
+                 "params": [2.0, 3.0, 4.0, 5.0, 6.0], "epsilon": 0.0625}),
+    ("ratio-bounded", {"grid_points": 33, "p": 1.5, "q": 3.0, "params": DELTAS}),
+    ("ratio-growing", {"grid_points": 33, "p": 1.5, "q": 6.0, "params": DELTAS}),
+    ("kernel-decay", {"epsilon": 0.015625}),
+    ("k3-oracles", {"seed": 3, "grid_points": 33, "mc_samples": 1000}),
+])
+def test_estimate_preset_header_records_exactly_the_settings_read(tmp_path, preset,
+                                                                  settings):
+    # the 3-chain is a tree and the ratios draw nothing random, so only the
+    # K3 oracles read the seed; the decay run fixes its own raster
+    code, out = run(["estimate", "--preset", preset, "--grid-points", "33",
+                     "--mc-samples", "1000", "--seed", "3"], tmp_path)
+    assert code == 0
+    assert json.loads(out.read_text())["config"] == {"preset": preset, **settings}
+
+
+def test_estimate_oracle_headers_tell_sample_counts_apart(tmp_path):
+    docs = []
+    for samples in ("1000", "2000"):
+        code, out = run(["estimate", "--preset", "k3-oracles", "--grid-points", "33",
+                         "--mc-samples", samples], tmp_path, f"k3-{samples}.json")
+        assert code == 0
+        docs.append(json.loads(out.read_text()))
+    assert docs[0]["result"]["mc_eps32"] != docs[1]["result"]["mc_eps32"]
+    assert docs[0]["config"] != docs[1]["config"]
+    assert [d["config"]["mc_samples"] for d in docs] == [1000, 2000]
+
+
+def test_estimate_config_header_records_the_grid_points_it_ran(tmp_path):
+    cfg = {"graph": str(GRAPHS / "path3.graph"),
+           "assignment": ["ball", "ball", "annulus"], "params": [0.125, 0.0625]}
+    bare, pinned = tmp_path / "bare.json", tmp_path / "pinned.json"
+    bare.write_text(json.dumps(cfg))
+    pinned.write_text(json.dumps(dict(cfg, grid={"points": 65})))
+    _, a = run(["estimate", "--config", str(bare), "--grid-points", "65"], tmp_path, "a.json")
+    _, b = run(["estimate", "--config", str(pinned), "--grid-points", "129"], tmp_path,
+               "b.json")
+    assert json.loads(a.read_text())["config"] == dict(cfg, grid={"points": 65}, seed=0)
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("change,key", [
+    ({"assignment": 3}, "assignment"),
+    ({"assignment": ["ball", 2, "ball"]}, "assignment"),
+    ({"params": 0.1}, "params"),
+    ({"params": [0.125, "0.0625"]}, "params"),
+    ({"graph": 7}, "graph"),
+    ({"epsilon": "1/16"}, "epsilon"),
+    ({"grid": 5}, "grid"),
+    ({"grid": {"L": "2.5"}}, "grid.L"),
+    ({"grid": {"points": 65.0}}, "grid.points"),
+    ({"grid": {"points": True}}, "grid.points"),
+    ({"grid": {"M": 512}}, "grid.M"),
+    ({"seed": "0"}, "seed"),
+    ({"epsilon_policy": "fixed"}, "epsilon_policy"),
+    ({"fixed_epsilon": 0.0625}, "fixed_epsilon"),
+    ({"quadrature": {"M": 512}}, "quadrature"),
+])
+def test_estimate_bad_config_is_a_usage_error_that_names_the_key(tmp_path, capsys,
+                                                                 change, key):
+    cfg = {"graph": str(GRAPHS / "path3.graph"), "assignment": ["ball"] * 3,
+           "params": [0.125, 0.0625], **change}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run(["estimate", "--config", str(path)], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path}: {key!r} ") or err.startswith(
+        f"error: config {path}: unknown key {key!r};")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_estimate_takes_one_of_preset_and_config(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"graph": str(GRAPHS / "path3.graph"),
+                                "assignment": ["ball"] * 3, "params": [0.125]}))
+    for argv in (["--preset", "bigball", "--config", str(path)], []):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", *argv])
+        assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "argument --config: not allowed with argument --preset" in err
+    assert "one of the arguments --preset --config is required" in err
+
+
+def test_estimate_on_an_even_grid_point_count_is_a_usage_error(tmp_path, capsys):
+    # an even count used to run one point fewer than its header recorded
+    code, out = run(["estimate", "--preset", "bigball", "--grid-points", "64"], tmp_path)
+    assert code == 1
+    assert (capsys.readouterr().err
+            == "error: a grid needs an odd number of points per axis, got 64\n")
     assert not out.exists()
 
 

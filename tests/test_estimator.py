@@ -233,7 +233,7 @@ def test_bigball_and_growing_ratio_values_pinned():
     # lp_norm raised only the nonzero cells; rows in descending order
     res = scaling_experiment(path3(), ("ball", "ball", "ball"),
                              (2.0, 3.0, 4.0, 5.0, 6.0), grid_points=257,
-                             epsilon_policy="fixed")
+                             epsilon=1.0 / 16.0)
     want = ((93.76563013240624, 113.06761779785154),
             (62.538724312953654, 78.5586456298828),
             (37.52410148340459, 50.25044982910156),
