@@ -10,8 +10,9 @@ An estimate header holds exactly the settings that its run reads.  Its
 --config is a JSON object with the keys graph (path string), assignment
 (list of strings), params (list of numbers), epsilon (number; param / 4
 when absent), grid.points (odd integer; --grid-points when absent), grid.L
-(number) and seed (integer; --seed when absent); the first three are
-required, and any other key or type is a usage error.
+(number), seed (integer; --seed when absent) and mc_samples (integer;
+--mc-samples when absent); the first three are required, and any other key
+or type is a usage error.
 
 Only realize, estimate, and analyze or certify on a graph whose blocks
 need a rank probe load numpy; they import it when they run.  Every other
@@ -330,6 +331,7 @@ _CONFIG_KEYS = {
     "params": ("a list of numbers", [_NUMBER]), "epsilon": ("a number", _NUMBER),
     "grid": ("an object", dict), "grid.points": ("an integer", int),
     "grid.L": ("a number", _NUMBER), "seed": ("an integer", int),
+    "mc_samples": ("an integer", int),
 }
 
 
@@ -339,12 +341,13 @@ def _fits(value, want) -> bool:
     return isinstance(value, want) and not isinstance(value, bool)  # JSON true is an int
 
 
-def _read_config(path: str, grid_points: int, seed: int) -> dict:
-    """The scaling run that the JSON file at path describes, checked
-    against _CONFIG_KEYS, with --grid-points and --seed filled in where it
-    names neither."""
+def _read_config(args) -> dict:
+    """The scaling run that the JSON file --config names, checked against
+    _CONFIG_KEYS, with --grid-points, --seed and --mc-samples filled in
+    where it names none of them."""
     import json
 
+    path = args.config
     cfg = json.loads(Path(path).read_text())
     for key in ("graph", "assignment", "params"):
         if not isinstance(cfg, dict) or key not in cfg:
@@ -358,8 +361,8 @@ def _read_config(path: str, grid_points: int, seed: int) -> dict:
         what, want = _CONFIG_KEYS[key]
         if not _fits(value, want):
             raise ValueError(f"config {path}: {key!r} must be {what}, got {value!r}")
-    return {**cfg, "grid": {**grid, "points": grid.get("points", grid_points)},
-            "seed": cfg.get("seed", seed)}
+    return {**cfg, "grid": {**grid, "points": grid.get("points", args.grid_points)},
+            **{key: cfg.get(key, getattr(args, key)) for key in ("seed", "mc_samples")}}
 
 
 # each runner reads its settings from the config that the header echoes and
@@ -376,7 +379,8 @@ def _estimate_scaling(config: dict):
     res = scaling_experiment(
         g, config["assignment"], [float(p) for p in config["params"]],
         grid_points=grid["points"], L=grid.get("L"),
-        epsilon=config.get("epsilon"), master_seed=config.get("seed", 0))
+        epsilon=config.get("epsilon"), master_seed=config.get("seed", 0),
+        mc_samples=config.get("mc_samples", 200_000))
     result = res.to_json_dict()
     if "expected" in config:
         result["expected_slope"] = config["expected"]
@@ -446,7 +450,7 @@ def cmd_estimate(args) -> int:
     from .rigidity import ZeroAcceptanceError
 
     if args.config:
-        kind, config = "scaling", _read_config(args.config, args.grid_points, args.seed)
+        kind, config = "scaling", _read_config(args)
     else:
         kind, spec = _PRESETS[args.preset]
         config = {"preset": args.preset,
@@ -521,7 +525,8 @@ def build_parser() -> _Parser:
     run.add_argument("--config", help=(
         "JSON scaling run, keys: graph (path string), assignment (list of strings), "
         "params (list of numbers), epsilon (number), grid.points (odd integer), "
-        "grid.L (number), seed (integer); the first three are required"))
+        "grid.L (number), seed (integer), mc_samples (integer); the first three "
+        "are required"))
     pe.add_argument("--grid-points", type=int, default=513)
     pe.add_argument("--mc-samples", type=int, default=1_000_000)
     pe.add_argument("--seed", type=int, default=0)

@@ -33,14 +33,14 @@ crossing lie within a few cells of each other, so their h-shift inner
 products are read off one correlation of the product with h's spline
 coefficients over the box of lags they span.
 
-Both triangle quadratures form the product only on the box of cells where
-|f| exceeds CROP_REL_TOL times its maximum: g is shifted only on that box,
-and h's spline coefficients are read through views at the box's origin
-within the existing pad.  A cubic shift never exceeds the largest
-|coefficient| (its weights are nonnegative and sum to one), which bounds
-the dropped terms by the mass of |f| off the box; a quadrature whose bound
-exceeds 1e-13 of its value reruns on the exact-zero box, which drops
-nothing (`_cropped`).
+Both triangle quadratures work at each node only where all three factors
+exceed CROP_REL_TOL of their largest: on f's box, cut to the tap boxes of
+g's and h's spline coefficients (the cells that a shift reads from such
+coefficients).  A cubic shift never exceeds the largest |coefficient| (its
+weights are nonnegative and sum to one), and off its tap box it reads at
+most CROP_REL_TOL of it, which bounds the dropped terms; a quadrature whose
+bound exceeds 1e-13 of its value reruns on the exact-zero supports, which
+drop nothing (`_cropped`).
 """
 
 from __future__ import annotations
@@ -353,62 +353,81 @@ def _guard_tree_margins(fields: Sequence[GridField], depth: dict[int, int],
                 f"{valid:.3f} but the integrand reaches {read:.3f}")
 
 
-def _cropped(f: GridField, quad: Callable[[Box], float],
+def _cropped(f: GridField, quad: Callable[[Box, float], float],
              scale: float) -> tuple[float, float]:
-    """quad(box) on the box of f's cells above CROP_REL_TOL * max |f|, and
-    a bound on the terms the crop dropped: scale times the sum of |f| off
-    the box.
-
-    scale carries the largest spline coefficients of g and h, which bound
-    every cubic shift, and the l1 norm of the node weights.  When the bound
-    exceeds 1e-13 of the value, quad runs again on the exact-zero box, which
-    drops nothing: the bound is then 0.  An all-zero f gives 0.0.
-    """
+    """quad(box, rel) on f's box of cells above rel = CROP_REL_TOL * max |f|,
+    cut per node to the tap boxes of g's and h's spline coefficients above
+    rel times their largest, and a bound on the terms that the crop dropped:
+    scale * (mass of |f| off the box + 2 * rel * mass on it).  scale carries
+    the largest coefficients, which bound every cubic shift (off its tap box
+    a shift reads at most rel times that), and the l1 norm of the node
+    weights.  Above 1e-13 of the value, quad reruns on the exact-zero
+    supports (rel = 0), which drop nothing: the bound is then 0.  An all-zero
+    f gives 0.0."""
     box = _support_box(f.values, CROP_REL_TOL)
     if box[0] == (0, 0):
         return 0.0, 0.0
     (r0, r1), (c0, c1) = box
     off = np.abs(f.values)
+    on = float(np.sum(off[r0:r1, c0:c1]))
     off[r0:r1, c0:c1] = 0.0
-    bound = scale * float(np.sum(off))
-    value = quad(box)
+    bound = scale * (float(np.sum(off)) + 2.0 * CROP_REL_TOL * on)
+    value = quad(box, CROP_REL_TOL)
     if bound > 1e-13 * abs(value):
-        return quad(_support_box(f.values)), 0.0
+        return quad(_support_box(f.values), 0.0), 0.0
     return value, bound
 
 
-def _coeff_max(c: grids.CubicCoeffs) -> float:
-    return float(np.max(np.abs(c.padded)))
+def _coeffs(field: GridField, k: MollifiedCircleKernel):
+    """((spline coefficients, their support box at rel), largest |one|)."""
+    c = grids.cubic_prefilter(field, 1.0 + k.epsilon)
+    inner = c.padded[c.pad:c.pad + c.n, c.pad:c.pad + c.n]
+    return (c, lambda rel: _support_box(inner, rel)), float(np.max(np.abs(inner)))
+
+
+def _overlaps(f: GridField, box: Box, rel: float, g, h, u: np.ndarray, v: np.ndarray):
+    """Per outer node j whose cut of box to g's tap box at u[j] (K, 2) is not
+    empty: j, and per group v[j, i] (K, I, G, 2) of h offsets the pair (P,
+    box) of P = f * S_u g, shifted once on the cut, on the cut's part in h's
+    tap box of the group, or None where that is empty (g, h from `_coeffs`)."""
+    bu = grids.tap_boxes(g[1](rel), f.h, u[:, None], box)
+    bv = grids.tap_boxes(h[1](rel), f.h, v, bu[:, None])
+    for j in np.flatnonzero((bu[:, :, 0] < bu[:, :, 1]).all(axis=1)).tolist():
+        (r0, r1), (c0, c1) = b = bu[j].tolist()
+        P = f.values[r0:r1, c0:c1] * grids.shift_cubic(g[0], f.h, *u[j].tolist(), b)
+        yield j, [(P[s0 - r0:s1 - r0, t0 - c0:t1 - c0], [(s0, s1), (t0, t1)])
+                  if s0 < s1 and t0 < t1 else None for (s0, s1), (t0, t1) in bv[j].tolist()]
 
 
 def _radon_pair_terms(fields: Sequence[GridField], k: MollifiedCircleKernel
-                      ) -> tuple[Callable[[Box], float], float]:
-    """The Radon pair as a sum over the cells of a box, and the factor that
-    turns the mass of |f| off the box into a bound on the terms it drops."""
+                      ) -> tuple[Callable[[Box, float], float], float]:
+    """The Radon pair as a sum over the cells of f's box at rel, and the
+    factor that turns the masses of |f| into a bound on the terms it drops
+    (`_cropped`)."""
     f, gg, hh = fields
     _check_radon_factors(gg, hh, k)
-    gp = grids.cubic_prefilter(gg, 1.0 + k.epsilon)
-    hp = grids.cubic_prefilter(hh, 1.0 + k.epsilon)
-    rotations = [(math.cos(t), math.sin(t)) for t in (math.pi / 3.0, -math.pi / 3.0)]
+    (g, g_max), (h, h_max) = _coeffs(gg, k), _coeffs(hh, k)
     r, wr = k.radial_rule()
+    # the node offsets u in angle-major order, their rotations v by +-pi/3
+    # (a rotation by 0 is exact), and the node weights w / M
+    ux, uy = np.array([(math.cos(t), math.sin(t)) for t in k.angles()]).T
+    u, *vs = [(np.stack((c * ux - s * uy, s * ux + c * uy), -1)[:, None]
+               * r[:, None]).reshape(-1, 2)
+              for c, s in [(1.0, 0.0), *((math.cos(t), math.sin(t))
+                                         for t in (math.pi / 3.0, -math.pi / 3.0))]]
+    v, weight = np.stack(vs, 1)[:, :, None], np.tile(wr / k.M, k.M).tolist()
 
-    def on_box(box):
-        (r0, r1), (c0, c1) = box
-        fb = f.values[r0:r1, c0:c1]
+    def on_box(box, rel):
         sums = [0.0, 0.0]
-        for th in k.angles():
-            ux, uy = math.cos(th), math.sin(th)
-            for rad, w in zip(r, wr):
-                P = fb * grids.shift_cubic(gp, f.h, rad * ux, rad * uy, box)
-                for i, (ct, st) in enumerate(rotations):
-                    vx, vy = ct * ux - st * uy, st * ux + ct * uy
-                    sums[i] += (w / k.M) * grids.cubic_inner(
-                        P, hp, f.h, rad * vx, rad * vy, box)
+        for j, reads in _overlaps(f, box, rel, g, h, u, v):
+            for i, read in enumerate(reads):
+                if read:
+                    sums[i] += weight[j] * grids.cubic_inner(
+                        read[0], h[0], f.h, *v[j, i, 0].tolist(), read[1])
         return float(RADON_PAIR_FACTOR * sum(s * f.h ** 2 for s in sums))
 
     # the node weights w / M are positive and sum to one per rotation
-    scale = RADON_PAIR_FACTOR * f.h ** 2 * 2.0 * _coeff_max(gp) * _coeff_max(hp)
-    return on_box, scale
+    return on_box, RADON_PAIR_FACTOR * f.h ** 2 * 2.0 * g_max * h_max
 
 
 def _radon_pair(g: Graph, fields: Sequence[GridField],
@@ -417,74 +436,76 @@ def _radon_pair(g: Graph, fields: Sequence[GridField],
     fused: at each node u the product P = f * S_u g is formed once and paired
     with the h-shift of both rotations by cubic_inner.
 
-    P is formed on f's support box at CROP_REL_TOL only (`_cropped`); the
-    terms it drops are bounded by RADON_PAIR_FACTOR * h^2 * (sum of |f| off
-    the box) * 2 * max |c_g| * max |c_h|, with c_g and c_h the spline
-    coefficients.  Above 1e-13 of the value the exact-zero box is used.
+    P is formed on f's box at CROP_REL_TOL cut to g's tap box at u, and each
+    inner product also to h's tap box at v (`_cropped`); the dropped terms
+    are bounded by RADON_PAIR_FACTOR * h^2 * 2 * max |c_g| * max |c_h| * (sum
+    of |f| off the box + 2 * CROP_REL_TOL * sum on it), c_g and c_h the
+    spline coefficients.  Above 1e-13 of the value the exact-zero supports
+    are used.
     """
     return _cropped(fields[0], *_radon_pair_terms(fields, k))[0]
 
 
 def _direct_triangle_terms(fields: Sequence[GridField], k: MollifiedCircleKernel,
                            m_alpha: int, n_radial: int, n_lens: int
-                           ) -> tuple[Callable[[Box], float], float]:
-    """The direct quadrature as a sum over the cells of a box, and the factor
-    that turns the mass of |f| off the box into a bound on the terms it
-    drops."""
+                           ) -> tuple[Callable[[Box, float], float], float]:
+    """The direct quadrature as a sum over the cells of f's box at rel, and
+    the factor that turns the masses of |f| into a bound on the terms it
+    drops (`_cropped`)."""
     f, gg, hh = fields
     for fld in fields:
         if fld.boundary_free:
             raise MarginError("direct quadrature needs compactly supported fields")
     eps = k.epsilon
-    gp = grids.cubic_prefilter(gg, 1.0 + eps)
-    hp = grids.cubic_prefilter(hh, 1.0 + eps)
+    (g, g_max), (h, h_max) = _coeffs(gg, k), _coeffs(hh, k)
     tu, wu = leggauss(n_radial)
     tl, wl = leggauss(n_lens)
     bu, bl = bump(tu), bump(tl)
     h2 = f.h ** 2
 
-    # radial nodes r with weight w_u, and the lens nodes (w_lens, d, perp) of
-    # each as arrays: the two circle crossings sit at d u +- perp u_perp
-    radial = []
-    for a in range(n_radial):
-        r = 1.0 + eps * tu[a]
-        w_u = bu[a] * (1.0 + eps * tu[a]) * wu[a] / (TWO_PI) * (TWO_PI / m_alpha)
-        lens = []
-        for b in range(n_lens):
-            R1 = 1.0 + eps * tl[b]
-            for c in range(n_lens):
-                R2 = 1.0 + eps * tl[c]
-                d = (r * r + R1 * R1 - R2 * R2) / (2.0 * r)
-                perp_sq = R1 * R1 - d * d
-                if perp_sq <= 0.0:
-                    continue
-                perp = math.sqrt(perp_sq)
-                jac = (R1 * R2) / (r * perp)
-                w_lens = (bl[b] * wl[b] / TWO_PI) * (bl[c] * wl[c] / TWO_PI) * jac
-                lens.append((w_lens, d, perp))
-        radial.append((r, w_u, np.array(lens).reshape(-1, 3).T))
+    # radial nodes r with weight w_u, and the lens nodes (b, c) of each, whose
+    # circle crossings sit at d u +- perp u_perp.  A pair that does not cross
+    # (perp^2 <= 0) weighs 0 at the place of the diagonal pair of the largest
+    # radius, which always crosses, so it adds no lag
+    r = 1.0 + eps * tu
+    w_u = bu * r * wu / (TWO_PI) * (TWO_PI / m_alpha)
+    R1, R2, rr = (1.0 + eps * tl)[:, None], 1.0 + eps * tl, r[:, None, None]
+    d = (rr * rr + R1 * R1 - R2 * R2) / (2.0 * rr)
+    perp_sq = R1 * R1 - d * d
+    cross = perp_sq > 0.0
+    d, perp = (np.where(cross, x, x[:, -1:, -1:]) for x in (d, np.sqrt(np.abs(perp_sq))))
+    wb = bl * wl / TWO_PI
+    w_lens = np.where(cross, wb[:, None] * wb * ((R1 * R2) / (rr * perp)), 0.0)
+    w_lens, d, perp = (x.reshape(n_radial, -1) for x in (w_lens, d, perp))
+    size = d.shape[1]
+    # outer offsets r u in angle-major order, the lens offsets of both
+    # crossings (sign, lens node) of each, and their tap weights, planned once
+    th = TWO_PI * (np.arange(m_alpha) + 0.5) / m_alpha
+    ux, uy = np.array([(math.cos(t), math.sin(t)) for t in th]).T
+    u = np.stack((ux[:, None] * r, uy[:, None] * r), -1).reshape(-1, 2)
+    ux, uy = ux[:, None, None, None], uy[:, None, None, None]
+    d, sp = d[:, None], perp[:, None] * [[1.0], [-1.0]]
+    v = np.stack((d * ux - sp * uy, d * uy + sp * ux), -1).reshape(-1, 2, size, 2)
+    plans = grids.inner_sum_plans(h[0], f.h, v.reshape(-1, size, 2),
+                                  np.tile(np.repeat(w_lens, 2, axis=0), (m_alpha, 1)))
+    w_at = np.tile(w_u, m_alpha).tolist()
 
-    def on_box(box):
-        (r0, r1), (c0, c1) = box
-        fb = f.values[r0:r1, c0:c1]
+    def on_box(box, rel):
         total = 0.0
-        for mi in range(m_alpha):
-            th = TWO_PI * (mi + 0.5) / m_alpha
-            ux, uy = math.cos(th), math.sin(th)
-            for r, w_u, (w_lens, d, perp) in radial:
-                P = fb * grids.shift_cubic(gp, f.h, r * ux, r * uy, box)
-                inner_sum = 0.0
-                for sgn in (1.0, -1.0):
-                    v = np.stack((d * ux - sgn * perp * uy, d * uy + sgn * perp * ux), axis=1)
-                    inner_sum += grids.cubic_inner_sum(P, hp, f.h, v, w_lens, box)
-                total += w_u * inner_sum * h2
+        for j, reads in _overlaps(f, box, rel, g, h, u, v):
+            inner_sum = 0.0
+            for s, read in enumerate(reads):
+                if read:
+                    inner_sum += grids.planned_inner_sum(
+                        read[0], h[0], plans[2 * j + s], read[1])
+            total += w_at[j] * inner_sum * h2
         return float(total)
 
     # l1 norm of the node weights: each outer node weighs the lens sums of
     # its two crossings by w_u
-    l1 = m_alpha * sum(abs(w_u) * 2.0 * float(np.sum(np.abs(lens[0])))
-                       for _, w_u, lens in radial)
-    return on_box, h2 * l1 * _coeff_max(gp) * _coeff_max(hp)
+    l1 = m_alpha * sum(abs(w) * 2.0 * float(np.sum(np.abs(wl)))
+                       for w, wl in zip(w_u, w_lens))
+    return on_box, h2 * l1 * g_max * h_max
 
 
 def _direct_triangle(g: Graph, fields: Sequence[GridField],
@@ -497,12 +518,13 @@ def _direct_triangle(g: Graph, fields: Sequence[GridField],
     exact circle intersections, with the transversality Jacobian.  The
     lens nodes of one crossing lie within a few cells of each other, so
     their h-shift inner products with P = f * S_u g are read off one spline
-    correlation (`grids.cubic_inner_sum`): two per outer node.
+    correlation: two per outer node, of tap weights planned once for all
+    crossings (`grids.inner_sum_plans`).
 
-    As in the Radon pair, P is formed on f's support box at CROP_REL_TOL
-    only (`_cropped`); the dropped terms are bounded by h^2 * (sum of |f|
-    off the box) * max |c_g| * max |c_h| times the sum of |node weights|,
-    and above 1e-13 of the value the exact-zero box is used.
+    As in the Radon pair, P lives on f's box cut to g's tap box at u, and a
+    crossing reads it on the union of its lens offsets' tap boxes of h; the
+    bound takes the sum of |node weights| * h^2 in place of the Radon
+    pair's 2 * RADON_PAIR_FACTOR * h^2 (`_cropped`).
     """
     terms = _direct_triangle_terms(fields, k, m_alpha, n_radial, n_lens)
     return _cropped(fields[0], *terms)[0]
@@ -661,15 +683,16 @@ def scaling_experiment(g: Graph, assignment: Sequence[str],
                        params: Sequence[float], grid_points: int = 513,
                        L: float | None = None,
                        epsilon: float | None = None,
-                       master_seed: int = 0) -> ScalingResult:
+                       master_seed: int = 0, mc_samples: int = 200_000) -> ScalingResult:
     """Form values along a shrinking-parameter family, with a log-log fit.
 
     Each vertex takes the test family its assignment entry names ("ball",
     "annulus" or "constant") at the row's parameter.  epsilon is the kernel
     width of every row; None couples it to the parameter (eps = param / 4)
     so mollification never smears the test geometry, and the growing-ball
-    runs pass a fixed width.  master_seed seeds the shell Monte Carlo, which
-    evaluates every graph that is neither a tree nor a triangle.
+    runs pass a fixed width.  master_seed seeds the shell Monte Carlo of
+    mc_samples samples, which evaluates every graph that is neither a tree
+    nor a triangle.
 
     A growing-ball fit on the 3-chain reaches the slope d = 2 of |B_R| only
     for R >> 1: the averaged indicator has a plateau of radius R - 1, so the
@@ -700,7 +723,7 @@ def scaling_experiment(g: Graph, assignment: Sequence[str],
         built = {spec: test_family(spec, dom, h, delta=p)
                  for spec in dict.fromkeys(assignment)}
         val = form_evaluate(g, [built[spec] for spec in assignment], k,
-                            master_seed=master_seed)
+                            mc_samples=mc_samples, master_seed=master_seed)
         norm = {spec: lp_norm(f, 1.0) for spec, f in built.items()}
         rows.append(ScalingRow(param=p, value=val,
                                norms=[norm[spec] for spec in assignment],

@@ -4,7 +4,11 @@ by the quadrature code.
 A field lives on the (2m+1)^2 grid over [-L, L]^2 with spacing h = L/m.
 Integrals carry the cell weight h^2.  Two interpolation flavors exist on
 purpose: bilinear shifts match the splatted-kernel convolution identically,
-cubic spline shifts are used where smooth inputs need the extra order.
+cubic spline shifts are used where smooth inputs need the extra order.  A
+cubic shift reads 4 x 4 coefficients per cell with nonnegative weights of
+sum one; the cells that read a box of coefficients form its tap box, and
+off the tap box of a support a shift stays below the largest |coefficient|
+off that support.
 """
 
 from __future__ import annotations
@@ -294,49 +298,83 @@ def cubic_inner(P: np.ndarray, prefiltered: CubicCoeffs, h: float,
     return float(total)
 
 
-def cubic_inner_sum(P: np.ndarray, prefiltered: CubicCoeffs, h: float,
-                    offsets, weights, box: Box | None = None) -> float:
-    """sum over k of weights[k] * cubic_inner(P, prefiltered, h, *offsets[k],
-    box), read off one correlation of P with the coefficients.
+def tap_boxes(support: Box, h: float, offsets, within) -> np.ndarray:
+    """Per group (..., K, 2) of shift offsets, the box (..., 2, 2) of the
+    cells inside `within` that some shift of the group reads from the
+    coefficient box `support` by one of its 4 x 4 taps; empty where
+    a start is not below its stop.  Output row J of the shift by (dx, dy)
+    reads rows J - j0 - 2 .. J - j0 + 1, with the j0 = floor(dy / h) of
+    _cubic_x_pass, and the columns likewise."""
+    cell = np.floor(np.asarray(offsets) / h).astype(int)[..., ::-1]  # (j0, i0)
+    s, w = np.asarray(support), np.asarray(within)
+    box = np.stack([s[:, 0] + cell.min(axis=-2) - 1,
+                    s[:, 1] + cell.max(axis=-2) + 2], axis=-1)
+    return np.clip(box, w[..., :1], w[..., 1:])
 
-    Tap (kx, ky) of the shift by (dx, dy) reads the padded coefficients
-    through the window of P's shape at the integer lag (p - j0 - ky,
-    p - i0 - kx) past the box's origin.  The 4 x 4 tap weights of every
-    offset are collected onto their lags first, so each lag in the rectangle
-    that the offsets span is correlated with P once (Unser, IEEE SPM 16(6),
-    1999).  Clustered offsets share most lags; the cost grows with that
-    rectangle, not with the number of offsets.
-    """
-    n, a, p = prefiltered.n, prefiltered.padded, prefiltered.pad
-    (r0, _), (c0, _) = box or ((0, n), (0, n))
-    rows, cols = P.shape
-    s = np.asarray(offsets, dtype=float).reshape(-1, 2) / h
-    w = np.asarray(weights, dtype=float).ravel()
+
+def inner_sum_plans(prefiltered: CubicCoeffs, h: float, offsets, weights) -> list:
+    """In one pass, the plan (need, lo, W) of the cubic_inner_sum of each
+    row of offsets (C, K, 2) and weights (C, K), or None when every tap
+    misses the grid.  Tap (kx, ky) of the shift by (dx, dy) reads, for cell
+    (J, I), coefficient (J - j0 - ky, I - i0 - kx).  W adds the 4 x 4 tap
+    weights of every offset, in offset order, onto these lags, with W[0, 0]
+    at lag lo = (row, column); need is the padding that the taps read."""
+    s = np.asarray(offsets, dtype=float) / h
     base = np.floor(s)
-    cell = base.astype(int)  # (i0, j0) of each offset
+    cell = base.astype(int)[..., ::-1]  # (j0, i0) of each offset
     # as in _cubic_x_pass: the taps of an offset needing more than n + 2
     # cells of padding all miss the grid
-    need = np.maximum(cell + 2, 1 - cell).max(axis=1)
-    hit = need <= n + 2
-    if not hit.any():
+    need = np.maximum(cell + 2, 1 - cell).max(axis=-1)
+    hit = need <= prefiltered.n + 2
+    # tap k = -1..2 reads lag -2 - j0 + (2 - k): reversed weights in ascending lags
+    wy, wx = (np.stack(_bspline3_weights(s[..., i] - base[..., i])[::-1], -1)
+              for i in (1, 0))
+    lag, big = -2 - cell, 1 << 40
+    lo = np.where(hit[..., None], lag, big).min(axis=1, initial=big)
+    size = np.where(hit[..., None], lag, -big).max(axis=1, initial=-big) - lo + 4
+    rows, cols = size[hit.any(axis=1)].max(axis=0, initial=4)
+    # an offset that misses the grid adds 0 at lag lo; each cell of W adds
+    # the tap weights of its offsets in offset order
+    at = np.where(hit[..., None], lag - lo[:, None], 0)
+    w = np.where(hit, np.asarray(weights, dtype=float), 0.0)
+    W, tap = np.zeros((len(lo), rows, cols)), np.arange(4)
+    c = np.arange(len(lo))[:, None, None]
+    for k in range(at.shape[1]):
+        W[c, at[:, k, :1, None] + tap[:, None], at[:, k, 1:, None] + tap] += (
+            w[:, k, None, None] * (wy[:, k, :, None] * wx[:, k, None, :]))
+    need = np.where(hit, need, 0).max(axis=1, initial=0)
+    return [(nd, tuple(o), W[i, :bh, :bw]) if bh > 0 else None for i, (nd, o, (bh, bw))
+            in enumerate(zip(need.tolist(), lo.tolist(), size.tolist()))]
+
+
+def planned_inner_sum(P: np.ndarray, prefiltered: CubicCoeffs, plan,
+                      box: Box | None = None) -> float:
+    """The cubic_inner_sum that a plan of inner_sum_plans stands for: one
+    correlation of P with the coefficients per lag of the plan (Unser, IEEE
+    SPM 16(6), 1999).  P has the box's shape."""
+    if plan is None:
         return 0.0
-    s, base, cell, w, need = s[hit], base[hit], cell[hit], w[hit], int(need[hit].max())
+    need, (lr, lc), W = plan
+    n, a, p = prefiltered.n, prefiltered.padded, prefiltered.pad
     if need > p:
         a = np.pad(a[p:p + n, p:p + n], need)
         p = need
-    # tap k = -1..2 reads lag p - i0 - k: reversed weights in ascending lags
-    wx = np.array(_bspline3_weights(s[:, 0] - base[:, 0]))[::-1]
-    wy = np.array(_bspline3_weights(s[:, 1] - base[:, 1]))[::-1]
-    lag = p - 2 - cell  # lowest lag of each offset, (x, y)
-    lo = lag.min(axis=0)
-    bw, bh = lag.max(axis=0) - lo + 4
-    W = np.zeros((bh, bw))
-    for k, (lx, ly) in enumerate(lag - lo):
-        W[ly:ly + 4, lx:lx + 4] += w[k] * np.multiply.outer(wy[:, k], wx[:, k])
-    y0, x0 = lo[1] + r0, lo[0] + c0
-    span = a[y0:y0 + bh + rows - 1, x0:x0 + bw + cols - 1]
+    (r0, _), (c0, _) = box or ((0, n), (0, n))
+    rows, cols = P.shape
+    y0, x0 = p + lr + r0, p + lc + c0
+    span = a[y0:y0 + W.shape[0] + rows - 1, x0:x0 + W.shape[1] + cols - 1]
     corr = np.einsum("ij,abij->ab", P, sliding_window_view(span, (rows, cols)))
     return float(np.sum(W * corr))
+
+
+def cubic_inner_sum(P: np.ndarray, prefiltered: CubicCoeffs, h: float,
+                    offsets, weights, box: Box | None = None) -> float:
+    """sum over k of weights[k] * cubic_inner(P, prefiltered, h, *offsets[k],
+    box): a plan of inner_sum_plans, then planned_inner_sum.  The cost grows
+    with the rectangle of lags that the offsets span, not with their number."""
+    plan, = inner_sum_plans(prefiltered, h, np.reshape(offsets, (1, -1, 2)),
+                            np.reshape(weights, (1, -1)))
+    return planned_inner_sum(P, prefiltered, plan, box)
 
 
 # norms and inner products --------------------------------------------------

@@ -311,7 +311,7 @@ def test_estimate_config(tmp_path):
     code, out = run(["estimate", "--config", str(path)], tmp_path, "a.json")
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["config"] == dict(cfg, seed=0)
+    assert doc["config"] == dict(cfg, seed=0, mc_samples=1_000_000)
     assert [r["param"] for r in doc["result"]["rows"]] == [0.125, 0.0625]
     lines = out.with_suffix(".csv").read_text().splitlines()
     assert lines[0].startswith("param,") and len(lines) == 3
@@ -402,7 +402,8 @@ def test_estimate_config_header_records_the_grid_points_it_ran(tmp_path):
     _, a = run(["estimate", "--config", str(bare), "--grid-points", "65"], tmp_path, "a.json")
     _, b = run(["estimate", "--config", str(pinned), "--grid-points", "129"], tmp_path,
                "b.json")
-    assert json.loads(a.read_text())["config"] == dict(cfg, grid={"points": 65}, seed=0)
+    assert json.loads(a.read_text())["config"] == dict(cfg, grid={"points": 65}, seed=0,
+                                                       mc_samples=1_000_000)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -419,6 +420,8 @@ def test_estimate_config_header_records_the_grid_points_it_ran(tmp_path):
     ({"grid": {"points": True}}, "grid.points"),
     ({"grid": {"M": 512}}, "grid.M"),
     ({"seed": "0"}, "seed"),
+    ({"mc_samples": 1e5}, "mc_samples"),
+    ({"mc_samples": True}, "mc_samples"),
     ({"epsilon_policy": "fixed"}, "epsilon_policy"),
     ({"fixed_epsilon": 0.0625}, "fixed_epsilon"),
     ({"quadrature": {"M": 512}}, "quadrature"),
@@ -479,6 +482,32 @@ def test_estimate_config_seeds_the_monte_carlo(tmp_path):
 
     assert all(a != b for a, b in zip(lambdas(zero), lambdas(five)))
     assert again.read_bytes() == five.read_bytes()
+
+
+def test_estimate_config_runs_the_monte_carlo_samples_its_header_records(tmp_path,
+                                                                         monkeypatch):
+    # the shell Monte Carlo of a C4 config draws --mc-samples, or the
+    # config's own "mc_samples", and the header records the count
+    from lpgraph import rigidity
+
+    drawn = []
+    real = rigidity.leray_mc_form
+
+    def counted(*args, samples, **kwargs):
+        drawn.append(samples)
+        return real(*args, samples=samples, **kwargs)
+
+    monkeypatch.setattr(rigidity, "leray_mc_form", counted)
+    cfg = {"graph": str(GRAPHS / "c4.graph"), "assignment": ["ball"] * 4,
+           "params": [1.0, 0.75], "grid": {"L": 2.5, "points": 33}}
+    path, pinned = tmp_path / "cfg.json", tmp_path / "pinned.json"
+    path.write_text(json.dumps(cfg))
+    pinned.write_text(json.dumps(dict(cfg, mc_samples=2000)))
+    _, a = run(["estimate", "--config", str(path), "--mc-samples", "1000"], tmp_path, "a.json")
+    _, b = run(["estimate", "--config", str(pinned), "--mc-samples", "1000"], tmp_path,
+               "b.json")
+    assert drawn == [1000, 1000, 2000, 2000]  # one run per row
+    assert [json.loads(o.read_text())["config"]["mc_samples"] for o in (a, b)] == [1000, 2000]
 
 
 def test_estimate_presets_write_rows_as_csv(tmp_path):

@@ -705,7 +705,7 @@ def test_cropped_triangle_forms_agree_with_the_full_grid_within_the_bound(method
     (r0, r1), (c0, c1) = estimator._support_box(fs[0].values, estimator.CROP_REL_TOL)
     assert r1 - r0 < n // 2 and c1 - c0 < n // 2  # the crop saves work
     on_box, scale = _triangle_terms(method, fs, k)
-    full = on_box([(0, n), (0, n)])
+    full = on_box([(0, n), (0, n)], 0.0)
     value, bound = estimator._cropped(fs[0], on_box, scale)
     assert 0.0 < bound <= 1e-13 * abs(value)
     # all factors are positive, so the rounding of either sum is a few ulps
@@ -713,6 +713,78 @@ def test_cropped_triangle_forms_agree_with_the_full_grid_within_the_bound(method
     assert abs(value - full) <= bound + 1e-14 * abs(full)
     params = dict(direct_params=dict(m_alpha=32)) if method == "direct" else {}
     assert form_evaluate(triangle(), fs, k, method=method, **params) == value
+
+
+@st.composite
+def _triangle_factors(draw):
+    """f, g and h near the corners of the unit triangle: sums of 1-3
+    Gaussians at random centres, widths and weights, and in one drawn slot a
+    compact bump instead."""
+    L, h = 3.5, grids.grid_spacing(3.5, 57)
+    r0 = 1 / math.sqrt(3)
+    jitter = st.floats(-0.15, 0.15)
+    bumped = draw(st.integers(0, 2))
+    fields = []
+    for slot in range(3):
+        a = 0.3 + slot * 2 * math.pi / 3
+        if slot == bumped:
+            cx, cy = r0 * math.cos(a) + draw(jitter), r0 * math.sin(a) + draw(jitter)
+            rad = draw(st.floats(0.3, 0.6))
+            fields.append(grids.field_from_function(
+                L, h, lambda X, Y, cx=cx, cy=cy, rad=rad: bump(np.hypot(X - cx, Y - cy) / rad)))
+            continue
+        parts = [(r0 * math.cos(a) + draw(jitter), r0 * math.sin(a) + draw(jitter),
+                  draw(st.floats(0.1, 0.2)), draw(st.floats(0.2, 1.0)))
+                 for _ in range(draw(st.integers(1, 3)))]
+        fields.append(grids.field_from_function(
+            L, h, lambda X, Y, parts=parts: sum(
+                c * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * w * w))
+                for cx, cy, w, c in parts)))
+    return fields
+
+
+@settings(max_examples=20, deadline=None)
+@given(fs=_triangle_factors(), method=st.sampled_from(["radon-pair", "direct"]),
+       eps=st.sampled_from([1 / 32, 1 / 8]))
+def test_cropped_triangle_forms_of_random_factors_stay_within_the_bound(fs, method, eps):
+    # the crop cuts f's box at each node to the tap boxes of g's and h's
+    # coefficients; the whole grid at the exact-zero supports drops nothing
+    k = make_kernel(eps, 64, radial_nodes=2)
+    n = fs[0].size
+    if method == "radon-pair":
+        on_box, scale = estimator._radon_pair_terms(fs, k)
+    else:
+        on_box, scale = estimator._direct_triangle_terms(fs, k, 16, 2, 2)
+    full = on_box([(0, n), (0, n)], 0.0)
+    value, bound = estimator._cropped(fs[0], on_box, scale)
+    assert 0.0 <= bound <= 1e-13 * abs(value)  # 0 when the fallback ran
+    assert abs(value - full) <= bound + 1e-14 * abs(full)
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=st.sampled_from([9, 17, 25]), reach=st.sampled_from([0.0, 0.6]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_cubic_shifts_vanish_off_the_tap_box_of_their_support(points, reach, seed, data):
+    # only the support cells of the coefficients are kept; shifts inside the
+    # padding, past it (a temporary pad) and off the grid all read zeros
+    # outside the tap box of their group
+    rng = np.random.default_rng(seed)
+    h = grids.grid_spacing(2.0, points)
+    (r0, r1), (c0, c1) = support = data.draw(_box(points))
+    coeffs = np.zeros((points, points))
+    coeffs[r0:r1, c0:c1] = rng.uniform(0.5, 1.5, (r1 - r0, c1 - c0)) * rng.choice(
+        [-1.0, 1.0], (r1 - r0, c1 - c0))
+    pad = int(math.ceil(reach / h)) + 3
+    c = grids.CubicCoeffs(np.pad(coeffs, pad), pad)
+    cell = st.floats(-(points + 6.0), points + 6.0)
+    centre = np.array([data.draw(cell), data.draw(cell)])
+    offsets = (centre + rng.uniform(-2.0, 2.0, (data.draw(st.integers(1, 3)), 2))) * h
+    whole = [(0, points), (0, points)]
+    (s0, s1), (t0, t1) = grids.tap_boxes(support, h, offsets[None], whole)[0]
+    off = np.ones((points, points), bool)
+    off[s0:s1, t0:t1] = False
+    for dx, dy in offsets:
+        assert not grids.shift_cubic(c, h, dx, dy)[off].any()
 
 
 @pytest.mark.parametrize("method", ["radon-pair", "direct"])
@@ -729,7 +801,7 @@ def test_far_outer_factor_falls_back_to_the_full_grid(method):
     # the crop would drop cells, so a zero bound means the fallback ran
     assert estimator._support_box(f.values, estimator.CROP_REL_TOL) != [(0, n), (0, n)]
     on_box, scale = _triangle_terms(method, fs, k)
-    full = on_box([(0, n), (0, n)])
+    full = on_box([(0, n), (0, n)], 0.0)
     value, bound = estimator._cropped(f, on_box, scale)
     assert (value, bound) == (full, 0.0)
     params = dict(direct_params=dict(m_alpha=32)) if method == "direct" else {}
@@ -738,15 +810,18 @@ def test_far_outer_factor_falls_back_to_the_full_grid(method):
 
 @pytest.mark.parametrize("method", ["radon-pair", "direct"])
 def test_zero_outer_factor_gives_zero(method):
-    f, g, hf = _moved_triangle_gaussians()
-    z = f.copy_with(np.zeros_like(f.values))
+    # so does a zero g or h, whose empty support leaves only zero terms
+    fs = _moved_triangle_gaussians()
     k = make_kernel(1 / 16, 128, radial_nodes=3)
-    got = form_evaluate(triangle(), [z, g, hf], k, method=method)
-    assert got == 0.0 and type(got) is float
+    for slot in range(3):
+        zeroed = list(fs)
+        zeroed[slot] = fs[slot].copy_with(np.zeros_like(fs[slot].values))
+        got = form_evaluate(triangle(), zeroed, k, method=method)
+        assert got == 0.0 and type(got) is float
 
 
 def test_direct_triangle_reads_lens_sums_not_single_inners(monkeypatch):
-    calls = {"cubic_inner": 0, "cubic_inner_sum": 0}
+    calls = {"cubic_inner": 0, "cubic_inner_sum": 0, "planned_inner_sum": 0}
 
     def counted(name):
         real = getattr(grids, name)
@@ -762,8 +837,51 @@ def test_direct_triangle_reads_lens_sums_not_single_inners(monkeypatch):
     k = make_kernel(1 / 16, 128, radial_nodes=3)
     form_evaluate(triangle(), fs, k, method="direct",
                   direct_params=dict(m_alpha=8, n_radial=3))
-    # one read per circle crossing of every outer node
-    assert calls == {"cubic_inner": 0, "cubic_inner_sum": 2 * 8 * 3}
+    # one read per circle crossing of every outer node, of tap weights that
+    # were planned once for all of them
+    assert calls == {"cubic_inner": 0, "cubic_inner_sum": 0,
+                     "planned_inner_sum": 2 * 8 * 3}
+
+
+def test_direct_triangle_on_ragged_lens_clusters_equals_single_inners():
+    # at eps = 0.45 some pairs of lens radii do not cross (perp^2 <= 0), so
+    # the radial nodes hold different numbers of lens nodes; the planned lens
+    # sums must equal one cubic_inner per lens node on the whole grid
+    from numpy.polynomial.legendre import leggauss
+
+    eps, m_alpha, n_radial, n_lens = 0.45, 8, 3, 3
+    f, g, hf = _moved_triangle_gaussians()
+    h = f.h
+    gp, hp = (grids.cubic_prefilter(x, 1.0 + eps) for x in (g, hf))
+    tu, wu = leggauss(n_radial)
+    tl, wl = leggauss(n_lens)
+    want, dropped = 0.0, []
+    for mi in range(m_alpha):
+        th = 2 * math.pi * (mi + 0.5) / m_alpha
+        ux, uy = math.cos(th), math.sin(th)
+        for a in range(n_radial):
+            r = 1 + eps * tu[a]
+            w_u = bump(tu[a]) * r * wu[a] / m_alpha
+            P = f.values * grids.shift_cubic(gp, h, r * ux, r * uy)
+            for b in range(n_lens):
+                for c in range(n_lens):
+                    R1, R2 = 1 + eps * tl[b], 1 + eps * tl[c]
+                    d = (r * r + R1 * R1 - R2 * R2) / (2 * r)
+                    if R1 * R1 - d * d <= 0:
+                        dropped.append((a, b, c))
+                        continue
+                    perp = math.sqrt(R1 * R1 - d * d)
+                    w = (bump(tl[b]) * wl[b] * bump(tl[c]) * wl[c] / (2 * math.pi) ** 2
+                         * R1 * R2 / (r * perp))
+                    for sgn in (1, -1):
+                        want += w_u * w * h * h * grids.cubic_inner(
+                            P, hp, h, d * ux - sgn * perp * uy, d * uy + sgn * perp * ux)
+    lens_nodes = [n_lens ** 2 - len({x for x in dropped if x[0] == a}) for a in range(n_radial)]
+    assert len(set(lens_nodes)) > 1  # ragged
+    got = form_evaluate(triangle(), [f, g, hf], make_kernel(eps, 64), method="direct",
+                        direct_params=dict(m_alpha=m_alpha, n_radial=n_radial,
+                                           n_lens=n_lens))
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def _moved_triangle_gaussians(L=3.0, N=65):
