@@ -420,11 +420,11 @@ def test_estimate_config_header_records_the_grid_points_it_ran(tmp_path):
     ({"grid": {"points": True}}, "grid.points"),
     ({"grid": {"M": 512}}, "grid.M"),
     ({"seed": "0"}, "seed"),
-    ({"mc_samples": 1e5}, "mc_samples"),
-    ({"mc_samples": True}, "mc_samples"),
     ({"epsilon_policy": "fixed"}, "epsilon_policy"),
     ({"fixed_epsilon": 0.0625}, "fixed_epsilon"),
     ({"quadrature": {"M": 512}}, "quadrature"),
+    ({"mc_samples": 1e5}, "mc_samples"),
+    ({"mc_samples": True}, "mc_samples"),
 ])
 def test_estimate_bad_config_is_a_usage_error_that_names_the_key(tmp_path, capsys,
                                                                  change, key):
