@@ -380,7 +380,7 @@ def _estimate_scaling(config: dict):
         g, config["assignment"], [float(p) for p in config["params"]],
         grid_points=grid["points"], L=grid.get("L"),
         epsilon=config.get("epsilon"), master_seed=config.get("seed", 0),
-        mc_samples=config.get("mc_samples", 200_000))
+        **{key: config[key] for key in ("mc_samples",) if key in config})
     result = res.to_json_dict()
     if "expected" in config:
         result["expected_slope"] = config["expected"]

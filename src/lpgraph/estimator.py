@@ -353,60 +353,72 @@ def _guard_tree_margins(fields: Sequence[GridField], depth: dict[int, int],
                 f"{valid:.3f} but the integrand reaches {read:.3f}")
 
 
-def _cropped(f: GridField, quad: Callable[[Box, float], float],
+def _cropped(f: GridField, quad: Callable[[Box, float], tuple[float, float]],
              scale: float) -> tuple[float, float]:
     """quad(box, rel) on f's box of cells above rel = CROP_REL_TOL * max |f|,
-    cut per node to the tap boxes of g's and h's spline coefficients above
-    rel times their largest, and a bound on the terms that the crop dropped:
-    scale * (mass of |f| off the box + 2 * rel * mass on it).  scale carries
-    the largest coefficients, which bound every cubic shift (off its tap box
-    a shift reads at most rel times that), and the l1 norm of the node
-    weights.  Above 1e-13 of the value, quad reruns on the exact-zero
-    supports (rel = 0), which drop nothing: the bound is then 0.  An all-zero
-    f gives 0.0."""
+    and a bound on the terms that the crop dropped: scale * (mass of |f| off
+    the box + the cut that quad returns beside its value, `_overlaps`).
+    scale carries the largest spline coefficients of g and h, which bound
+    every cubic shift, and the l1 norm of the node weights.  Above 1e-13 of
+    the value, quad reruns on the exact-zero supports (rel = 0), which drop
+    nothing: the bound is then 0.  An all-zero f gives 0.0."""
     box = _support_box(f.values, CROP_REL_TOL)
     if box[0] == (0, 0):
         return 0.0, 0.0
     (r0, r1), (c0, c1) = box
     off = np.abs(f.values)
-    on = float(np.sum(off[r0:r1, c0:c1]))
     off[r0:r1, c0:c1] = 0.0
-    bound = scale * (float(np.sum(off)) + 2.0 * CROP_REL_TOL * on)
-    value = quad(box, CROP_REL_TOL)
+    value, cut = quad(box, CROP_REL_TOL)
+    bound = scale * (float(np.sum(off)) + cut)
     if bound > 1e-13 * abs(value):
-        return quad(_support_box(f.values), 0.0), 0.0
+        return quad(_support_box(f.values), 0.0)[0], 0.0
     return value, bound
 
 
-def _coeffs(field: GridField, k: MollifiedCircleKernel):
-    """((spline coefficients, their support box at rel), largest |one|)."""
-    c = grids.cubic_prefilter(field, 1.0 + k.epsilon)
-    inner = c.padded[c.pad:c.pad + c.n, c.pad:c.pad + c.n]
-    return (c, lambda rel: _support_box(inner, rel)), float(np.max(np.abs(inner)))
+def _coeff_max(c: grids.CubicCoeffs) -> float:
+    return float(np.max(np.abs(c.padded)))
 
 
-def _overlaps(f: GridField, box: Box, rel: float, g, h, u: np.ndarray, v: np.ndarray):
-    """Per outer node j whose cut of box to g's tap box at u[j] (K, 2) is not
-    empty: j, and per group v[j, i] (K, I, G, 2) of h offsets the pair (P,
-    box) of P = f * S_u g, shifted once on the cut, on the cut's part in h's
-    tap box of the group, or None where that is empty (g, h from `_coeffs`)."""
-    bu = grids.tap_boxes(g[1](rel), f.h, u[:, None], box)
-    bv = grids.tap_boxes(h[1](rel), f.h, v, bu[:, None])
-    for j in np.flatnonzero((bu[:, :, 0] < bu[:, :, 1]).all(axis=1)).tolist():
-        (r0, r1), (c0, c1) = b = bu[j].tolist()
-        P = f.values[r0:r1, c0:c1] * grids.shift_cubic(g[0], f.h, *u[j].tolist(), b)
-        yield j, [(P[s0 - r0:s1 - r0, t0 - c0:t1 - c0], [(s0, s1), (t0, t1)])
-                  if s0 < s1 and t0 < t1 else None for (s0, s1), (t0, t1) in bv[j].tolist()]
+def _box_masses(values: np.ndarray, boxes) -> np.ndarray:
+    """The sum of |values| on each box (..., 2, 2), 0 on an empty one."""
+    s = np.zeros(np.add(values.shape, 1))
+    s[1:, 1:] = np.abs(values).cumsum(0).cumsum(1)
+    (r0, r1), (c0, c1) = np.moveaxis(np.asarray(boxes), (-2, -1), (0, 1))
+    return np.where((r0 < r1) & (c0 < c1),
+                    s[r1, c1] - s[r0, c1] - s[r1, c0] + s[r0, c0], 0.0)
+
+
+def _overlaps(f: GridField, box: Box, rel: float, g: grids.CubicCoeffs,
+              h: grids.CubicCoeffs, u: np.ndarray, v: np.ndarray, weight: np.ndarray):
+    """Box cut per node j to g's tap box at u[j], and per group v[j, i] (K, 2)
+    of h offsets also to h's, of the coefficients above rel times their
+    largest: off a tap box a shift reads at most rel times that.  Returns
+    the cut of `_cropped`, rel times the mass of |f| that a group cuts off
+    box, in the mean by weight[j]; and, per node j with a nonempty cut, j and
+    per group the pair (P, box) of P = f * S_u g on the group's cut or None."""
+    inner = [c.padded[c.pad:-c.pad, c.pad:-c.pad] for c in (g, h)]
+    bu = grids.tap_boxes(_support_box(inner[0], rel), f.h, u[:, None], box)
+    bv = grids.tap_boxes(_support_box(inner[1], rel), f.h, v, bu[:, None])
+    dropped = _box_masses(f.values, box) - _box_masses(f.values, bv).mean(axis=1)
+
+    def reads():
+        for j in np.flatnonzero((bu[:, :, 0] < bu[:, :, 1]).all(axis=1)).tolist():
+            (r0, r1), (c0, c1) = b = bu[j].tolist()
+            P = f.values[r0:r1, c0:c1] * grids.shift_cubic(g, f.h, *u[j].tolist(), b)
+            yield j, [(P[s0 - r0:s1 - r0, t0 - c0:t1 - c0], [(s0, s1), (t0, t1)])
+                      if s0 < s1 and t0 < t1 else None
+                      for (s0, s1), (t0, t1) in bv[j].tolist()]
+    return rel * float(np.sum(weight * dropped) / np.sum(weight)), reads()
 
 
 def _radon_pair_terms(fields: Sequence[GridField], k: MollifiedCircleKernel
-                      ) -> tuple[Callable[[Box, float], float], float]:
-    """The Radon pair as a sum over the cells of f's box at rel, and the
-    factor that turns the masses of |f| into a bound on the terms it drops
-    (`_cropped`)."""
+                      ) -> tuple[Callable[[Box, float], tuple[float, float]], float]:
+    """The Radon pair as a sum over the cells of f's box at rel with its
+    cut, and the factor that turns the masses of |f| into a bound on the
+    terms it drops (`_cropped`)."""
     f, gg, hh = fields
     _check_radon_factors(gg, hh, k)
-    (g, g_max), (h, h_max) = _coeffs(gg, k), _coeffs(hh, k)
+    g, h = (grids.cubic_prefilter(x, 1.0 + k.epsilon) for x in (gg, hh))
     r, wr = k.radial_rule()
     # the node offsets u in angle-major order, their rotations v by +-pi/3
     # (a rotation by 0 is exact), and the node weights w / M
@@ -415,19 +427,20 @@ def _radon_pair_terms(fields: Sequence[GridField], k: MollifiedCircleKernel
                * r[:, None]).reshape(-1, 2)
               for c, s in [(1.0, 0.0), *((math.cos(t), math.sin(t))
                                          for t in (math.pi / 3.0, -math.pi / 3.0))]]
-    v, weight = np.stack(vs, 1)[:, :, None], np.tile(wr / k.M, k.M).tolist()
+    v, weight = np.stack(vs, 1)[:, :, None], np.tile(wr / k.M, k.M)
 
     def on_box(box, rel):
+        cut, nodes = _overlaps(f, box, rel, g, h, u, v, weight)
         sums = [0.0, 0.0]
-        for j, reads in _overlaps(f, box, rel, g, h, u, v):
+        for j, reads in nodes:
             for i, read in enumerate(reads):
                 if read:
                     sums[i] += weight[j] * grids.cubic_inner(
-                        read[0], h[0], f.h, *v[j, i, 0].tolist(), read[1])
-        return float(RADON_PAIR_FACTOR * sum(s * f.h ** 2 for s in sums))
+                        read[0], h, f.h, *v[j, i, 0].tolist(), read[1])
+        return float(RADON_PAIR_FACTOR * sum(s * f.h ** 2 for s in sums)), cut
 
     # the node weights w / M are positive and sum to one per rotation
-    return on_box, RADON_PAIR_FACTOR * f.h ** 2 * 2.0 * g_max * h_max
+    return on_box, RADON_PAIR_FACTOR * f.h ** 2 * 2.0 * _coeff_max(g) * _coeff_max(h)
 
 
 def _radon_pair(g: Graph, fields: Sequence[GridField],
@@ -439,25 +452,25 @@ def _radon_pair(g: Graph, fields: Sequence[GridField],
     P is formed on f's box at CROP_REL_TOL cut to g's tap box at u, and each
     inner product also to h's tap box at v (`_cropped`); the dropped terms
     are bounded by RADON_PAIR_FACTOR * h^2 * 2 * max |c_g| * max |c_h| * (sum
-    of |f| off the box + 2 * CROP_REL_TOL * sum on it), c_g and c_h the
-    spline coefficients.  Above 1e-13 of the value the exact-zero supports
-    are used.
+    of |f| off the box + CROP_REL_TOL * the mean sum of |f| that a node cuts
+    off it), c_g and c_h the spline coefficients.  Above 1e-13 of the value
+    the exact-zero supports are used.
     """
     return _cropped(fields[0], *_radon_pair_terms(fields, k))[0]
 
 
 def _direct_triangle_terms(fields: Sequence[GridField], k: MollifiedCircleKernel,
                            m_alpha: int, n_radial: int, n_lens: int
-                           ) -> tuple[Callable[[Box, float], float], float]:
-    """The direct quadrature as a sum over the cells of f's box at rel, and
-    the factor that turns the masses of |f| into a bound on the terms it
-    drops (`_cropped`)."""
+                           ) -> tuple[Callable[[Box, float], tuple[float, float]], float]:
+    """The direct quadrature as a sum over the cells of f's box at rel with
+    its cut, and the factor that turns the masses of |f| into a bound on the
+    terms it drops (`_cropped`)."""
     f, gg, hh = fields
     for fld in fields:
         if fld.boundary_free:
             raise MarginError("direct quadrature needs compactly supported fields")
     eps = k.epsilon
-    (g, g_max), (h, h_max) = _coeffs(gg, k), _coeffs(hh, k)
+    g, h = (grids.cubic_prefilter(x, 1.0 + eps) for x in (gg, hh))
     tu, wu = leggauss(n_radial)
     tl, wl = leggauss(n_lens)
     bu, bl = bump(tu), bump(tl)
@@ -486,26 +499,25 @@ def _direct_triangle_terms(fields: Sequence[GridField], k: MollifiedCircleKernel
     ux, uy = ux[:, None, None, None], uy[:, None, None, None]
     d, sp = d[:, None], perp[:, None] * [[1.0], [-1.0]]
     v = np.stack((d * ux - sp * uy, d * uy + sp * ux), -1).reshape(-1, 2, size, 2)
-    plans = grids.inner_sum_plans(h[0], f.h, v.reshape(-1, size, 2),
+    plans = grids.inner_sum_plans(h, f.h, v.reshape(-1, size, 2),
                                   np.tile(np.repeat(w_lens, 2, axis=0), (m_alpha, 1)))
     w_at = np.tile(w_u, m_alpha).tolist()
+    # per outer node, |w_u| times the l1 norm of either crossing's lens weights
+    weight = np.tile(np.abs(w_u) * np.sum(np.abs(w_lens), axis=1), m_alpha)
 
     def on_box(box, rel):
+        cut, nodes = _overlaps(f, box, rel, g, h, u, v, weight)
         total = 0.0
-        for j, reads in _overlaps(f, box, rel, g, h, u, v):
+        for j, reads in nodes:
             inner_sum = 0.0
             for s, read in enumerate(reads):
                 if read:
                     inner_sum += grids.planned_inner_sum(
-                        read[0], h[0], plans[2 * j + s], read[1])
+                        read[0], h, plans[2 * j + s], read[1])
             total += w_at[j] * inner_sum * h2
-        return float(total)
+        return float(total), cut
 
-    # l1 norm of the node weights: each outer node weighs the lens sums of
-    # its two crossings by w_u
-    l1 = m_alpha * sum(abs(w) * 2.0 * float(np.sum(np.abs(wl)))
-                       for w, wl in zip(w_u, w_lens))
-    return on_box, h2 * l1 * g_max * h_max
+    return on_box, h2 * 2.0 * float(np.sum(weight)) * _coeff_max(g) * _coeff_max(h)
 
 
 def _direct_triangle(g: Graph, fields: Sequence[GridField],

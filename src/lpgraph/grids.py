@@ -313,12 +313,13 @@ def tap_boxes(support: Box, h: float, offsets, within) -> np.ndarray:
 
 
 def inner_sum_plans(prefiltered: CubicCoeffs, h: float, offsets, weights) -> list:
-    """In one pass, the plan (need, lo, W) of the cubic_inner_sum of each
-    row of offsets (C, K, 2) and weights (C, K), or None when every tap
-    misses the grid.  Tap (kx, ky) of the shift by (dx, dy) reads, for cell
-    (J, I), coefficient (J - j0 - ky, I - i0 - kx).  W adds the 4 x 4 tap
-    weights of every offset, in offset order, onto these lags, with W[0, 0]
-    at lag lo = (row, column); need is the padding that the taps read."""
+    """In one pass, the plan (need, lo, W) of each row c of offsets (C, K, 2)
+    and weights (C, K), the sum over k of weights[c, k] * cubic_inner(P,
+    prefiltered, h, *offsets[c, k], box), or None when every tap misses the
+    grid.  Tap (kx, ky) of the shift by (dx, dy) reads, for cell (J, I),
+    coefficient (J - j0 - ky, I - i0 - kx).  W adds the 4 x 4 tap weights of
+    every offset, in offset order, onto these lags, with W[0, 0] at lag lo =
+    (row, column); need is the padding that the taps read."""
     s = np.asarray(offsets, dtype=float) / h
     base = np.floor(s)
     cell = base.astype(int)[..., ::-1]  # (j0, i0) of each offset
@@ -349,9 +350,10 @@ def inner_sum_plans(prefiltered: CubicCoeffs, h: float, offsets, weights) -> lis
 
 def planned_inner_sum(P: np.ndarray, prefiltered: CubicCoeffs, plan,
                       box: Box | None = None) -> float:
-    """The cubic_inner_sum that a plan of inner_sum_plans stands for: one
-    correlation of P with the coefficients per lag of the plan (Unser, IEEE
-    SPM 16(6), 1999).  P has the box's shape."""
+    """The sum that a plan of inner_sum_plans stands for, as one correlation
+    of P with the coefficients per lag of the plan (Unser, IEEE SPM 16(6),
+    1999): its cost grows with the rectangle of lags that the offsets span,
+    not with their number.  P has the box's shape."""
     if plan is None:
         return 0.0
     need, (lr, lc), W = plan
@@ -365,16 +367,6 @@ def planned_inner_sum(P: np.ndarray, prefiltered: CubicCoeffs, plan,
     span = a[y0:y0 + W.shape[0] + rows - 1, x0:x0 + W.shape[1] + cols - 1]
     corr = np.einsum("ij,abij->ab", P, sliding_window_view(span, (rows, cols)))
     return float(np.sum(W * corr))
-
-
-def cubic_inner_sum(P: np.ndarray, prefiltered: CubicCoeffs, h: float,
-                    offsets, weights, box: Box | None = None) -> float:
-    """sum over k of weights[k] * cubic_inner(P, prefiltered, h, *offsets[k],
-    box): a plan of inner_sum_plans, then planned_inner_sum.  The cost grows
-    with the rectangle of lags that the offsets span, not with their number."""
-    plan, = inner_sum_plans(prefiltered, h, np.reshape(offsets, (1, -1, 2)),
-                            np.reshape(weights, (1, -1)))
-    return planned_inner_sum(P, prefiltered, plan, box)
 
 
 # norms and inner products --------------------------------------------------

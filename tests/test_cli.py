@@ -466,9 +466,9 @@ def test_estimate_on_an_even_grid_point_count_is_a_usage_error(tmp_path, capsys)
 def test_estimate_config_seeds_the_monte_carlo(tmp_path):
     # C4 is neither a tree nor a triangle, so its form runs the shell Monte
     # Carlo, under the seed that the header records: --seed, or the
-    # config's own "seed"
+    # config's own "seed"; its own "mc_samples" keeps the three runs short
     cfg = {"graph": str(GRAPHS / "c4.graph"), "assignment": ["ball"] * 4,
-           "params": [1.0, 0.75], "grid": {"L": 2.5, "points": 65}}
+           "params": [1.0, 0.75], "grid": {"L": 2.5, "points": 65}, "mc_samples": 200_000}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     seeded = tmp_path / "seeded.json"

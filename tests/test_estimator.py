@@ -566,6 +566,14 @@ def test_cubic_inner_equals_sum_of_product():
             assert abs(got - want) <= 1e-12 * float(np.sum(np.abs(prod)))
 
 
+def _cubic_inner_sum(P, pg, h, offsets, weights, box=None):
+    """sum over k of weights[k] * cubic_inner(P, pg, h, *offsets[k], box),
+    planned as one row of grids.inner_sum_plans."""
+    plan, = grids.inner_sum_plans(pg, h, np.reshape(offsets, (1, -1, 2)),
+                                  np.reshape(weights, (1, -1)))
+    return grids.planned_inner_sum(P, pg, plan, box)
+
+
 @settings(max_examples=80, deadline=None)
 @given(points=st.sampled_from([17, 25, 33]),
        reach=st.sampled_from([0.0, 0.4]),
@@ -591,7 +599,7 @@ def test_cubic_inner_sum_equals_weighted_cubic_inners(points, reach, center,
                for (dx, dy), w in zip(offsets, weights))
     scale = sum(abs(w) * float(np.sum(np.abs(P * grids.shift_cubic(pg, h, dx, dy))))
                 for (dx, dy), w in zip(offsets, weights))
-    got = grids.cubic_inner_sum(P, pg, h, offsets, weights)
+    got = _cubic_inner_sum(P, pg, h, offsets, weights)
     assert type(got) is float
     assert abs(got - want) <= 1e-12 * scale
     if scale == 0.0:
@@ -604,11 +612,11 @@ def test_cubic_inner_sum_of_offsets_off_the_grid_is_zero():
     P = np.ones((17, 17))
     pg = grids.cubic_prefilter(g, 0.0)
     far = [(20 * h, 0.0), (0.0, -20 * h), (-19.5 * h, 19.5 * h)]
-    assert grids.cubic_inner_sum(P, pg, h, far, [1.0, 2.0, 3.0]) == 0.0
-    assert grids.cubic_inner_sum(P, pg, h, np.zeros((0, 2)), []) == 0.0
+    assert _cubic_inner_sum(P, pg, h, far, [1.0, 2.0, 3.0]) == 0.0
+    assert _cubic_inner_sum(P, pg, h, np.zeros((0, 2)), []) == 0.0
     # one offset on the grid next to the far ones reads only its own taps
     near = far + [(0.3 * h, -0.7 * h)]
-    assert math.isclose(grids.cubic_inner_sum(P, pg, h, near, [1.0, 2.0, 3.0, 0.5]),
+    assert math.isclose(_cubic_inner_sum(P, pg, h, near, [1.0, 2.0, 3.0, 0.5]),
                         0.5 * grids.cubic_inner(P, pg, h, 0.3 * h, -0.7 * h),
                         rel_tol=1e-13)
 
@@ -665,9 +673,10 @@ def test_shift_cubic_on_edge_boxes_and_off_the_grid():
 def test_cubic_inners_on_a_box_equal_the_full_grid(points, reach, center, spread,
                                                     count, seed, data):
     # P vanishes off the box, so the box drops only zero terms; the sums
-    # differ only in their order, by a few ulps of the sum of |terms|.  The
-    # tap weights are nonnegative, so that sum is at most sum(|P| * the shift
-    # of |c|); sum(|P * shift|) can be far smaller, as the taps cancel
+    # differ only in their order, by a few ulps of the sum of |terms|.  Both
+    # x passes of cubic_inner form the same rows of tmp, so its terms are
+    # those of the y pass, |P| * |tmp| per tap; sum |P * shift| can be far
+    # smaller, as the taps cancel
     rng = np.random.default_rng(seed)
     L = 2.0
     h = grids.grid_spacing(L, points)
@@ -681,15 +690,18 @@ def test_cubic_inners_on_a_box_equal_the_full_grid(points, reach, center, spread
     offsets = cells * h
     weights = rng.uniform(-1.0, 1.0, count)
     ulps = 8 * np.finfo(float).eps
-    abs_pg = grids.CubicCoeffs(np.abs(pg.padded), pg.pad)
     terms = 0.0
     for (dx, dy), w in zip(offsets, weights):
-        scale = float(np.sum(np.abs(P) * grids.shift_cubic(abs_pg, h, dx, dy)))
+        scale = float(np.sum(np.abs(P * grids.shift_cubic(pg, h, dx, dy))))
         terms += abs(w) * scale
+        tmp, wy = grids._cubic_x_pass(pg, h, dx, dy)
+        y_terms = 0.0 if tmp is None else sum(
+            wt * float(np.sum(np.abs(P * tmp[2 - k:2 - k + points])))
+            for k, wt in enumerate(wy, start=-1))
         got = grids.cubic_inner(Pb, pg, h, dx, dy, box)
-        assert abs(got - grids.cubic_inner(P, pg, h, dx, dy)) <= ulps * scale
-    got = grids.cubic_inner_sum(Pb, pg, h, offsets, weights, box)
-    want = grids.cubic_inner_sum(P, pg, h, offsets, weights)
+        assert abs(got - grids.cubic_inner(P, pg, h, dx, dy)) <= ulps * y_terms
+    got = _cubic_inner_sum(Pb, pg, h, offsets, weights, box)
+    want = _cubic_inner_sum(P, pg, h, offsets, weights)
     assert type(got) is float
     assert abs(got - want) <= ulps * terms
 
@@ -708,7 +720,7 @@ def test_cropped_triangle_forms_agree_with_the_full_grid_within_the_bound(method
     (r0, r1), (c0, c1) = estimator._support_box(fs[0].values, estimator.CROP_REL_TOL)
     assert r1 - r0 < n // 2 and c1 - c0 < n // 2  # the crop saves work
     on_box, scale = _triangle_terms(method, fs, k)
-    full = on_box([(0, n), (0, n)], 0.0)
+    full, _ = on_box([(0, n), (0, n)], 0.0)
     value, bound = estimator._cropped(fs[0], on_box, scale)
     assert 0.0 < bound <= 1e-13 * abs(value)
     # all factors are positive, so the rounding of either sum is a few ulps
@@ -758,7 +770,7 @@ def test_cropped_triangle_forms_of_random_factors_stay_within_the_bound(fs, meth
         on_box, scale = estimator._radon_pair_terms(fs, k)
     else:
         on_box, scale = estimator._direct_triangle_terms(fs, k, 16, 2, 2)
-    full = on_box([(0, n), (0, n)], 0.0)
+    full, _ = on_box([(0, n), (0, n)], 0.0)
     value, bound = estimator._cropped(fs[0], on_box, scale)
     assert 0.0 <= bound <= 1e-13 * abs(value)  # 0 when the fallback ran
     assert abs(value - full) <= bound + 1e-14 * abs(full)
@@ -791,6 +803,27 @@ def test_cubic_shifts_vanish_off_the_tap_box_of_their_support(points, reach, see
 
 
 @pytest.mark.parametrize("method", ["radon-pair", "direct"])
+def test_compact_factors_that_no_node_cuts_keep_a_zero_bound(method):
+    # a ball f well inside the reach of the annuli g and h: f vanishes off
+    # its box and every node's tap boxes cover that box, so the crop drops
+    # nothing, the bound is 0 and the quadrature runs once
+    p = 0.4
+    L = 2.0 + p / 2 + p / 4 + 0.05
+    h = grids.grid_spacing(L, 65)
+    f = field_family("ball", L, h, delta=p)
+    a = field_family("annulus", L, h, delta=p)
+    on_box, scale = _triangle_terms(method, [f, a, a], make_kernel(p / 4, 128, radial_nodes=3))
+    rels = []
+
+    def counted(box, rel):
+        rels.append(rel)
+        return on_box(box, rel)
+    value, bound = estimator._cropped(f, counted, scale)
+    assert (bound, rels) == (0.0, [estimator.CROP_REL_TOL])
+    assert value == on_box(estimator._support_box(f.values), 0.0)[0]
+
+
+@pytest.mark.parametrize("method", ["radon-pair", "direct"])
 def test_far_outer_factor_falls_back_to_the_full_grid(method):
     # f's tail off its box carries the whole form, so the bound exceeds the
     # value and the quadrature reruns on the exact-zero box: for a Gaussian
@@ -804,7 +837,7 @@ def test_far_outer_factor_falls_back_to_the_full_grid(method):
     # the crop would drop cells, so a zero bound means the fallback ran
     assert estimator._support_box(f.values, estimator.CROP_REL_TOL) != [(0, n), (0, n)]
     on_box, scale = _triangle_terms(method, fs, k)
-    full = on_box([(0, n), (0, n)], 0.0)
+    full, _ = on_box([(0, n), (0, n)], 0.0)
     value, bound = estimator._cropped(f, on_box, scale)
     assert (value, bound) == (full, 0.0)
     params = dict(direct_params=dict(m_alpha=32)) if method == "direct" else {}
@@ -824,7 +857,7 @@ def test_zero_outer_factor_gives_zero(method):
 
 
 def test_direct_triangle_reads_lens_sums_not_single_inners(monkeypatch):
-    calls = {"cubic_inner": 0, "cubic_inner_sum": 0, "planned_inner_sum": 0}
+    calls = {"cubic_inner": 0, "planned_inner_sum": 0}
 
     def counted(name):
         real = getattr(grids, name)
@@ -842,8 +875,7 @@ def test_direct_triangle_reads_lens_sums_not_single_inners(monkeypatch):
                   direct_params=dict(m_alpha=8, n_radial=3))
     # one read per circle crossing of every outer node, of tap weights that
     # were planned once for all of them
-    assert calls == {"cubic_inner": 0, "cubic_inner_sum": 0,
-                     "planned_inner_sum": 2 * 8 * 3}
+    assert calls == {"cubic_inner": 0, "planned_inner_sum": 2 * 8 * 3}
 
 
 def test_direct_triangle_on_ragged_lens_clusters_equals_single_inners():
