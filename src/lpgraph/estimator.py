@@ -25,22 +25,28 @@ endpoints of a chain (ball-ball, annulus-annulus) take one average.
 
 The triangle form is a Radon pair: the inner product of f with the
 bilinear rotation transform of (g, h) at theta = +-pi/3.  Its form path
-never builds the transform: at each kernel node u it forms f * S_u g once,
-shares it between the two rotations, and pairs it with each rotated
-h-shift through a fused cubic inner product.  The direct quadrature forms
-the same product at each outer node; the lens nodes around one circle
-crossing lie within a few cells of each other, so their h-shift inner
-products are read off one correlation of the product with h's spline
-coefficients over the box of lags they span.
+never builds the transform.  The kernel nodes u run angle-major, so
+neighbouring nodes, and their rotations v, read the spline coefficients at
+lags within a few cells of each other; the nodes go in groups whose
+offsets span at most GROUP_LAGS lags per axis.  Per rotation, the
+g-shifts and the h-shifts of a group are two matrix products of its
+nodes' tap kernels with the coefficients read at each lag (Unser, IEEE
+SPM 16(6), 1999), summed against f.  The direct quadrature forms
+f * S_u g at each outer node by a cubic shift; the lens nodes around one
+circle crossing lie within a few cells of each other, so their h-shift
+inner products are read off one correlation of the product with h's
+coefficients over the box of lags they span.  Both quadratures plan their
+lags with `grids.lag_plans`.
 
 Both triangle quadratures work at each node only where all three factors
 exceed CROP_REL_TOL of their largest: on f's box, cut to the tap boxes of
 g's and h's spline coefficients (the cells that a shift reads from such
-coefficients).  A cubic shift never exceeds the largest |coefficient| (its
-weights are nonnegative and sum to one), and off its tap box it reads at
-most CROP_REL_TOL of it, which bounds the dropped terms; a quadrature whose
-bound exceeds 1e-13 of its value reruns on the exact-zero supports, which
-drop nothing (`_cropped`).
+coefficients), for the Radon pair those of the node's group, which hold
+the node's own.  A cubic shift never exceeds the largest |coefficient|
+(its weights are nonnegative and sum to one), and off its tap box it reads
+at most CROP_REL_TOL of it, which bounds the dropped terms; a quadrature
+whose bound exceeds 1e-13 of its value reruns on the exact-zero supports,
+which drop nothing (`_cropped`).
 """
 
 from __future__ import annotations
@@ -67,6 +73,20 @@ RADON_PAIR_FACTOR = 1.0 / (2.0 * math.sqrt(3.0) * math.pi ** 2)
 # the triangle quadratures sum over the cells where the outer factor f
 # exceeds this fraction of max |f| (`_cropped`)
 CROP_REL_TOL = 1e-16
+
+# the Radon pair groups neighbouring nodes while the offsets of each of its
+# three shifts span at most this many lags per axis (`_radon_pair_terms`),
+# and forms its matrices over strips of at most STRIP_ENTRIES entries: with
+# at least 16 lags, a strip holds at most 8192 cells
+GROUP_LAGS = 8
+STRIP_ENTRIES = 1 << 17
+
+# OpenBLAS multiplies on one thread up to 2^18 multiply-adds per product
+# (65536 times its GEMM_MULTITHREAD_THRESHOLD of 4), and dots vectors of up
+# to 10^4 entries on one thread.  On a shared 2-vCPU host its threaded
+# products of the Radon pair's sizes took 2 to 30 times as long as serial
+# ones from run to run, so the Radon pair keeps to serial products
+SERIAL_MADDS = 1 << 18
 
 DECAY_DIRECTIONS = 8  # directions of xi per `kernel_decay_check` magnitude
 
@@ -120,7 +140,10 @@ class MollifiedCircleKernel:
         h = like.h
         half = int(math.ceil((1.0 + self.epsilon) / h)) + 1
         size = 2 * half + 1
-        K = np.zeros((size, size))
+        # the raster outlives the splat arrays, so it is allocated first: made
+        # after them, it kept their freed memory below it, which raised the
+        # peak RSS of the estimate presets at 1025 points from 138 to 147 MiB
+        K = np.empty((size, size))
         pts, ww = self.nodes()
         gx = pts[:, 0] / h + half
         gy = pts[:, 1] / h + half
@@ -128,10 +151,12 @@ class MollifiedCircleKernel:
         j0 = np.floor(gy).astype(int)
         fx = gx - i0
         fy = gy - j0
-        for di in (0, 1):
-            for dj in (0, 1):
-                wgt = ww * (fx if di else 1 - fx) * (fy if dj else 1 - fy)
-                np.add.at(K, (j0 + dj, i0 + di), wgt)
+        # the four corner splats (di, dj) = (0, 0), (0, 1), (1, 0), (1, 1) in
+        # one bincount, which adds each cell's weights in input order, as
+        # four np.add.at splats in turn would
+        cells = np.add.outer([0, size, 1, size + 1], j0 * size + i0).ravel()
+        wgts = (ww * np.stack([1 - fx, fx])[:, None] * np.stack([1 - fy, fy])).ravel()
+        K.ravel()[:] = np.bincount(cells, wgts, size * size)
         return K
 
 
@@ -388,34 +413,87 @@ def _box_masses(values: np.ndarray, boxes) -> np.ndarray:
                     s[r1, c1] - s[r0, c1] - s[r1, c0] + s[r0, c0], 0.0)
 
 
+def _nonempty(boxes: np.ndarray) -> np.ndarray:
+    """Per box (..., 2, 2), whether it holds a cell."""
+    return (boxes[..., 0] < boxes[..., 1]).all(axis=-1)
+
+
 def _overlaps(f: GridField, box: Box, rel: float, g: grids.CubicCoeffs,
               h: grids.CubicCoeffs, u: np.ndarray, v: np.ndarray, weight: np.ndarray):
-    """Box cut per node j to g's tap box at u[j], and per group v[j, i] (K, 2)
-    of h offsets also to h's, of the coefficients above rel times their
-    largest: off a tap box a shift reads at most rel times that.  Returns
-    the cut of `_cropped`, rel times the mass of |f| that a group cuts off
-    box, in the mean by weight[j]; and, per node j with a nonempty cut, j and
-    per group the pair (P, box) of P = f * S_u g on the group's cut or None."""
+    """Box cut per group c to g's tap box of the offsets u[c] (K, 2), and per
+    side s further to h's tap box of v[c, s] (K', 2), of the coefficients
+    above rel times their largest: off a tap box a shift reads at most rel
+    times that.  Returns the cut of `_cropped`, rel times the mass of |f|
+    that the sides of a group cut off box, in the mean by weight[c]; and the
+    boxes (C, 2, 2) and (C, S, 2, 2) of g and of the sides."""
     inner = [c.padded[c.pad:-c.pad, c.pad:-c.pad] for c in (g, h)]
-    bu = grids.tap_boxes(_support_box(inner[0], rel), f.h, u[:, None], box)
+    bu = grids.tap_boxes(_support_box(inner[0], rel), f.h, u, box)
     bv = grids.tap_boxes(_support_box(inner[1], rel), f.h, v, bu[:, None])
     dropped = _box_masses(f.values, box) - _box_masses(f.values, bv).mean(axis=1)
+    return rel * float(np.sum(weight * dropped) / np.sum(weight)), bu, bv
 
-    def reads():
-        for j in np.flatnonzero((bu[:, :, 0] < bu[:, :, 1]).all(axis=1)).tolist():
-            (r0, r1), (c0, c1) = b = bu[j].tolist()
-            P = f.values[r0:r1, c0:c1] * grids.shift_cubic(g, f.h, *u[j].tolist(), b)
-            yield j, [(P[s0 - r0:s1 - r0, t0 - c0:t1 - c0], [(s0, s1), (t0, t1)])
-                      if s0 < s1 and t0 < t1 else None
-                      for (s0, s1), (t0, t1) in bv[j].tolist()]
-    return rel * float(np.sum(weight * dropped) / np.sum(weight)), reads()
+
+def _node_groups(cells: np.ndarray, spread: int) -> tuple[np.ndarray, list[int]]:
+    """Runs of consecutive rows of cells (N, D), each grown while every
+    column stays within spread of its least, and the last run joined to the
+    first where they fit together: the order of the rows, which then starts
+    after the first run, and the start of each run in it.
+
+    The longest run from every row is found at once, by binary lifting over
+    the max and min of 2^b consecutive rows."""
+    n = len(cells)
+    tables = [(cells, cells)]
+    while 1 << len(tables) <= n:
+        m = 1 << len(tables) - 1
+        top, bot = tables[-1]
+        tables.append((np.maximum(top[:-m], top[m:]), np.minimum(bot[:-m], bot[m:])))
+    rows = np.arange(n)
+    run, top, bot = np.ones(n, int), cells, cells
+    for b in reversed(range(len(tables))):
+        at = np.minimum(rows + run, n - (1 << b))
+        t, s = np.maximum(top, tables[b][0][at]), np.minimum(bot, tables[b][1][at])
+        ok = (rows + run <= n - (1 << b)) & (t - s <= spread).all(axis=1)
+        run += ok << b
+        top, bot = np.where(ok[:, None], t, top), np.where(ok[:, None], s, bot)
+    run, starts = run.tolist(), [0]
+    while starts[-1] + run[starts[-1]] < n:
+        starts.append(starts[-1] + run[starts[-1]])
+    if len(starts) > 1:
+        ends = np.concatenate([cells[starts[-1]:], cells[:starts[1]]])
+        if (ends.max(axis=0) - ends.min(axis=0) <= spread).all():
+            return np.roll(rows, -starts[1]), [s - starts[1] for s in starts[1:]]
+    return rows, starts
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, in products of blocks of columns of b of at most SERIAL_MADDS
+    multiply-adds each."""
+    cols = max(1, SERIAL_MADDS // a.size)
+    if b.shape[1] <= cols:
+        return a @ b
+    out, n = np.empty((len(a), b.shape[1])), b.shape[1] // cols * cols
+    np.matmul(a, b[:, :n].reshape(len(b), -1, cols).transpose(1, 0, 2),
+              out=out[:, :n].reshape(len(a), -1, cols).transpose(1, 0, 2))
+    out[:, n:] = a @ b[:, n:]
+    return out
 
 
 def _radon_pair_terms(fields: Sequence[GridField], k: MollifiedCircleKernel
                       ) -> tuple[Callable[[Box, float], tuple[float, float]], float]:
     """The Radon pair as a sum over the cells of f's box at rel with its
     cut, and the factor that turns the masses of |f| into a bound on the
-    terms it drops (`_cropped`)."""
+    terms it drops (`_cropped`).
+
+    The nodes go in groups of neighbours (`_node_groups`) whose offsets u
+    and v each span at most GROUP_LAGS lags per axis, and the lag_plans
+    kernels of every group are planned once.  Per group and rotation, on
+    the cells of that rotation's overlap, the g-shifts of its K nodes, each
+    times its weight, are one product G = W_g @ C_g of their kernels (K x
+    lags) with g's coefficients read at each lag (lags x cells,
+    `grids.lag_windows`), the h-shifts are H = W_h @ C_h, and the group
+    adds the sum over the cells of f times the column sums of G * H.  The
+    products run over strips of rows of at most STRIP_ENTRIES entries per
+    matrix, in serial blocks (`_matmul`)."""
     f, gg, hh = fields
     _check_radon_factors(gg, hh, k)
     g, h = (grids.cubic_prefilter(x, 1.0 + k.epsilon) for x in (gg, hh))
@@ -427,17 +505,42 @@ def _radon_pair_terms(fields: Sequence[GridField], k: MollifiedCircleKernel
                * r[:, None]).reshape(-1, 2)
               for c, s in [(1.0, 0.0), *((math.cos(t), math.sin(t))
                                          for t in (math.pi / 3.0, -math.pi / 3.0))]]
-    v, weight = np.stack(vs, 1)[:, :, None], np.tile(wr / k.M, k.M)
+    order, starts = _node_groups(
+        np.floor(np.concatenate([u, *vs], axis=1) / f.h).astype(np.int32), GROUP_LAGS - 4)
+    u, v, weight = u[order], np.stack(vs, 1)[order], np.tile(wr / k.M, k.M)[order]
+    ends = [*starts[1:], len(u)]
+    plans = [grids.lag_plans(g.n, f.h, x, starts) for x in (u, v[:, 0], v[:, 1])]
+    # a group's least and largest offset coordinates give its tap boxes
+    u_span, v_span = (np.stack([np.minimum.reduceat(x, starts),
+                                np.maximum.reduceat(x, starts)], -2) for x in (u, v))
+    group_weight = np.add.reduceat(weight, starts)
+
+    def kernels(i, c):
+        _, _, size, at, taps = plans[i]
+        return grids.lag_kernels(at[starts[c]:ends[c]], taps[starts[c]:ends[c]],
+                                 size[c]).reshape(ends[c] - starts[c], -1)
+
+    def windows(i, c, cells):
+        need, lo, size = (x[c] for x in plans[i][:3])
+        return grids.lag_windows((g, h, h)[i], need, lo, size, cells).reshape(size.prod(), -1)
 
     def on_box(box, rel):
-        cut, nodes = _overlaps(f, box, rel, g, h, u, v, weight)
-        sums = [0.0, 0.0]
-        for j, reads in nodes:
-            for i, read in enumerate(reads):
-                if read:
-                    sums[i] += weight[j] * grids.cubic_inner(
-                        read[0], h, f.h, *v[j, i, 0].tolist(), read[1])
-        return float(RADON_PAIR_FACTOR * sum(s * f.h ** 2 for s in sums)), cut
+        cut, _, bv = _overlaps(f, box, rel, g, h, u_span, v_span, group_weight)
+        total = 0.0
+        for c in np.flatnonzero(_nonempty(bv).any(axis=1)).tolist():
+            W_g = kernels(0, c) * weight[starts[c]:ends[c], None]
+            for s, ((s0, s1), (t0, t1)) in enumerate(bv[c].tolist()):
+                if s0 >= s1 or t0 >= t1:
+                    continue
+                W_h = kernels(1 + s, c)
+                step = max(1, STRIP_ENTRIES // ((t1 - t0) * max(*W_g.shape, W_h.shape[1])))
+                for q0 in range(s0, s1, step):
+                    q1 = min(q0 + step, s1)
+                    cells = [(q0, q1), (t0, t1)]
+                    G = _matmul(W_g, windows(0, c, cells))
+                    H = _matmul(W_h, windows(1 + s, c, cells))
+                    total += float(np.einsum("ij,ij->j", G, H) @ f.values[q0:q1, t0:t1].ravel())
+        return float(RADON_PAIR_FACTOR * total * f.h ** 2), cut
 
     # the node weights w / M are positive and sum to one per rotation
     return on_box, RADON_PAIR_FACTOR * f.h ** 2 * 2.0 * _coeff_max(g) * _coeff_max(h)
@@ -446,15 +549,17 @@ def _radon_pair_terms(fields: Sequence[GridField], k: MollifiedCircleKernel
 def _radon_pair(g: Graph, fields: Sequence[GridField],
                 k: MollifiedCircleKernel) -> float:
     """sum over theta = +-pi/3 of inner(f, bilinear_radon(g, h, theta)),
-    fused: at each node u the product P = f * S_u g is formed once and paired
-    with the h-shift of both rotations by cubic_inner.
+    fused: per group of neighbouring nodes u and rotation, the g-shifts
+    S_u g and the h-shifts S_v h of all its nodes are two matrix products,
+    summed against f (`_radon_pair_terms`).
 
-    P is formed on f's box at CROP_REL_TOL cut to g's tap box at u, and each
-    inner product also to h's tap box at v (`_cropped`); the dropped terms
-    are bounded by RADON_PAIR_FACTOR * h^2 * 2 * max |c_g| * max |c_h| * (sum
-    of |f| off the box + CROP_REL_TOL * the mean sum of |f| that a node cuts
-    off it), c_g and c_h the spline coefficients.  Above 1e-13 of the value
-    the exact-zero supports are used.
+    They are formed on f's box at CROP_REL_TOL cut to the group's tap boxes
+    of g at u and of h at v (`_cropped`).  A node's own tap boxes lie inside
+    its group's, so the dropped terms are still bounded by RADON_PAIR_FACTOR
+    * h^2 * 2 * max |c_g| * max |c_h| * (sum of |f| off the box +
+    CROP_REL_TOL * the mean sum of |f| that a node's group cuts off it), c_g
+    and c_h the spline coefficients.  Above 1e-13 of the value the
+    exact-zero supports are used.
     """
     return _cropped(fields[0], *_radon_pair_terms(fields, k))[0]
 
@@ -506,14 +611,17 @@ def _direct_triangle_terms(fields: Sequence[GridField], k: MollifiedCircleKernel
     weight = np.tile(np.abs(w_u) * np.sum(np.abs(w_lens), axis=1), m_alpha)
 
     def on_box(box, rel):
-        cut, nodes = _overlaps(f, box, rel, g, h, u, v, weight)
+        cut, bu, bv = _overlaps(f, box, rel, g, h, u[:, None], v, weight)
         total = 0.0
-        for j, reads in nodes:
+        for j in np.flatnonzero(_nonempty(bv).any(axis=1)).tolist():
+            (r0, r1), (c0, c1) = b = bu[j].tolist()
+            P = f.values[r0:r1, c0:c1] * grids.shift_cubic(g, f.h, *u[j].tolist(), b)
             inner_sum = 0.0
-            for s, read in enumerate(reads):
-                if read:
+            for s, ((s0, s1), (t0, t1)) in enumerate(bv[j].tolist()):
+                if s0 < s1 and t0 < t1:
                     inner_sum += grids.planned_inner_sum(
-                        read[0], h, plans[2 * j + s], read[1])
+                        P[s0 - r0:s1 - r0, t0 - c0:t1 - c0], h, plans[2 * j + s],
+                        [(s0, s1), (t0, t1)])
             total += w_at[j] * inner_sum * h2
         return float(total), cut
 

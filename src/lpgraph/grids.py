@@ -9,6 +9,12 @@ cubic shift reads 4 x 4 coefficients per cell with nonnegative weights of
 sum one; the cells that read a box of coefficients form its tap box, and
 off the tap box of a support a shift stays below the largest |coefficient|
 off that support.
+
+Shifts by nearby offsets read coefficients at nearby lags, so the
+quadratures plan them together (`lag_plans`): each offset becomes a kernel
+on its group's rectangle of lags, and the coefficients read at each lag
+over a box (`lag_windows`) turn a group of shifts, or of inner products
+with them, into one correlation or one matrix product.
 """
 
 from __future__ import annotations
@@ -302,48 +308,93 @@ def tap_boxes(support: Box, h: float, offsets, within) -> np.ndarray:
     """Per group (..., K, 2) of shift offsets, the box (..., 2, 2) of the
     cells inside `within` that some shift of the group reads from the
     coefficient box `support` by one of its 4 x 4 taps; empty where
-    a start is not below its stop.  Output row J of the shift by (dx, dy)
-    reads rows J - j0 - 2 .. J - j0 + 1, with the j0 = floor(dy / h) of
-    _cubic_x_pass, and the columns likewise."""
+    a start is not below its stop, and for an empty support.  Output row J
+    of the shift by (dx, dy) reads rows J - j0 - 2 .. J - j0 + 1, with the
+    j0 = floor(dy / h) of _cubic_x_pass, and the columns likewise."""
     cell = np.floor(np.asarray(offsets) / h).astype(int)[..., ::-1]  # (j0, i0)
     s, w = np.asarray(support), np.asarray(within)
     box = np.stack([s[:, 0] + cell.min(axis=-2) - 1,
                     s[:, 1] + cell.max(axis=-2) + 2], axis=-1)
-    return np.clip(box, w[..., :1], w[..., 1:])
+    box = np.clip(box, w[..., :1], w[..., 1:])
+    # no cell reads an empty support: stop at the start on every axis
+    empty = (s[:, 0] >= s[:, 1]).any()
+    return np.concatenate([box[..., :1], box[..., :1]], -1) if empty else box
+
+
+def lag_plans(n: int, h: float, offsets, starts):
+    """The one lag planner of the correlation quadratures.
+
+    Tap (kx, ky) of the shift by (dx, dy) reads, for cell (J, I), coefficient
+    (J - j0 - ky, I - i0 - kx) of the n x n grid, so a shift is a kernel on
+    lags: its 4 x 4 tap weights wy x wx, reversed into ascending lags.  For
+    each group of offsets, rows starts[c]:starts[c + 1] of offsets (N, 2),
+    returns the padding need (C,) that their taps read, the lag lo (C, 2)
+    (row, column) of the corner of the rectangle of lags that they span and
+    its size (C, 2); and per offset, the corner at (N, 2) of its kernel in
+    its group's rectangle and its reversed weights taps (N, 2, 4), wy then
+    wx (`lag_kernels`).  As in _cubic_x_pass, the taps of an offset that
+    needs more than n + 2 cells of padding all miss the grid: it weighs 0
+    at the corner and adds no lag, and a group of such offsets has size
+    (0, 0)."""
+    s = np.asarray(offsets, dtype=float).reshape(-1, 2) / h
+    base = np.floor(s)
+    cell = base.astype(int)[:, ::-1]  # (j0, i0) of each offset
+    need = np.maximum(cell + 2, 1 - cell).max(axis=1)
+    hit = need <= n + 2
+    # tap k = -1..2 reads lag -2 - j0 + (2 - k): reversed weights in ascending lags
+    wy, wx = (np.stack(_bspline3_weights(s[:, i] - base[:, i])[::-1], -1)
+              for i in (1, 0))
+    lag, big = -2 - cell, 1 << 40
+    lo = np.minimum.reduceat(np.where(hit[:, None], lag, big), starts)
+    top = np.maximum.reduceat(np.where(hit[:, None], lag, -big), starts)
+    size = np.where(lo < big, top - lo + 4, 0)
+    group = np.repeat(np.arange(len(lo)), np.diff(starts, append=len(s)))
+    at = np.where(hit[:, None], lag - lo[group], 0)
+    taps = np.where(hit[:, None, None], np.stack([wy, wx], 1), 0.0)
+    need = np.maximum.reduceat(np.where(hit, need, 0), starts)
+    return need, lo, size, at, taps
+
+
+def lag_kernels(at, taps, size) -> np.ndarray:
+    """The kernels (K, rows, cols) of K offsets on a rectangle of lags of the
+    given size: the outer product wy x wx of each offset's taps (K, 2, 4),
+    placed at its corner at (K, 2) (`lag_plans`)."""
+    W, t = np.zeros((len(at), *size)), np.arange(4)
+    W[np.arange(len(at))[:, None, None], at[:, :1, None] + t[:, None],
+      at[:, 1:, None] + t] = taps[:, 0, :, None] * taps[:, 1, None, :]
+    return W
+
+
+def lag_windows(prefiltered: CubicCoeffs, need: int, lo, size, box: Box) -> np.ndarray:
+    """The coefficients that a rectangle of lags reads over a box, as a view
+    (lag rows, lag cols, box rows, box cols): [a, b] holds the coefficients
+    at lag lo + (a, b) of the box's cells, padded by need (lag_plans)."""
+    n, a, p = prefiltered.n, prefiltered.padded, prefiltered.pad
+    if need > p:
+        a = np.pad(a[p:p + n, p:p + n], need)
+        p = need
+    (r0, r1), (c0, c1) = box
+    y0, x0 = p + lo[0] + r0, p + lo[1] + c0
+    span = a[y0:y0 + size[0] + r1 - r0 - 1, x0:x0 + size[1] + c1 - c0 - 1]
+    return sliding_window_view(span, (r1 - r0, c1 - c0))
 
 
 def inner_sum_plans(prefiltered: CubicCoeffs, h: float, offsets, weights) -> list:
     """In one pass, the plan (need, lo, W) of each row c of offsets (C, K, 2)
     and weights (C, K), the sum over k of weights[c, k] * cubic_inner(P,
     prefiltered, h, *offsets[c, k], box), or None when every tap misses the
-    grid.  Tap (kx, ky) of the shift by (dx, dy) reads, for cell (J, I),
-    coefficient (J - j0 - ky, I - i0 - kx).  W adds the 4 x 4 tap weights of
-    every offset, in offset order, onto these lags, with W[0, 0] at lag lo =
-    (row, column); need is the padding that the taps read."""
-    s = np.asarray(offsets, dtype=float) / h
-    base = np.floor(s)
-    cell = base.astype(int)[..., ::-1]  # (j0, i0) of each offset
-    # as in _cubic_x_pass: the taps of an offset needing more than n + 2
-    # cells of padding all miss the grid
-    need = np.maximum(cell + 2, 1 - cell).max(axis=-1)
-    hit = need <= prefiltered.n + 2
-    # tap k = -1..2 reads lag -2 - j0 + (2 - k): reversed weights in ascending lags
-    wy, wx = (np.stack(_bspline3_weights(s[..., i] - base[..., i])[::-1], -1)
-              for i in (1, 0))
-    lag, big = -2 - cell, 1 << 40
-    lo = np.where(hit[..., None], lag, big).min(axis=1, initial=big)
-    size = np.where(hit[..., None], lag, -big).max(axis=1, initial=-big) - lo + 4
-    rows, cols = size[hit.any(axis=1)].max(axis=0, initial=4)
-    # an offset that misses the grid adds 0 at lag lo; each cell of W adds
-    # the tap weights of its offsets in offset order
-    at = np.where(hit[..., None], lag - lo[:, None], 0)
-    w = np.where(hit, np.asarray(weights, dtype=float), 0.0)
-    W, tap = np.zeros((len(lo), rows, cols)), np.arange(4)
-    c = np.arange(len(lo))[:, None, None]
-    for k in range(at.shape[1]):
-        W[c, at[:, k, :1, None] + tap[:, None], at[:, k, 1:, None] + tap] += (
-            w[:, k, None, None] * (wy[:, k, :, None] * wx[:, k, None, :]))
-    need = np.where(hit, need, 0).max(axis=1, initial=0)
+    grid.  W is the weighted sum of the row's lag_plans kernels, added in
+    offset order, with W[0, 0] at lag lo; need is the padding they read."""
+    offsets = np.asarray(offsets, dtype=float)
+    C, K = offsets.shape[:2]
+    if K == 0:
+        return [None] * C
+    need, lo, size, at, taps = lag_plans(prefiltered.n, h, offsets,
+                                         np.arange(0, C * K, K))
+    w = np.asarray(weights, dtype=float)
+    W = np.zeros((C, *size.max(axis=0, initial=4)))
+    for k in range(K):
+        W += w[:, k, None, None] * lag_kernels(at[k::K], taps[k::K], W.shape[1:])
     return [(nd, tuple(o), W[i, :bh, :bw]) if bh > 0 else None for i, (nd, o, (bh, bw))
             in enumerate(zip(need.tolist(), lo.tolist(), size.tolist()))]
 
@@ -356,17 +407,10 @@ def planned_inner_sum(P: np.ndarray, prefiltered: CubicCoeffs, plan,
     not with their number.  P has the box's shape."""
     if plan is None:
         return 0.0
-    need, (lr, lc), W = plan
-    n, a, p = prefiltered.n, prefiltered.padded, prefiltered.pad
-    if need > p:
-        a = np.pad(a[p:p + n, p:p + n], need)
-        p = need
-    (r0, _), (c0, _) = box or ((0, n), (0, n))
-    rows, cols = P.shape
-    y0, x0 = p + lr + r0, p + lc + c0
-    span = a[y0:y0 + W.shape[0] + rows - 1, x0:x0 + W.shape[1] + cols - 1]
-    corr = np.einsum("ij,abij->ab", P, sliding_window_view(span, (rows, cols)))
-    return float(np.sum(W * corr))
+    need, lo, W = plan
+    n = prefiltered.n
+    windows = lag_windows(prefiltered, need, lo, W.shape, box or ((0, n), (0, n)))
+    return float(np.sum(W * np.einsum("ij,abij->ab", P, windows)))
 
 
 # norms and inner products --------------------------------------------------

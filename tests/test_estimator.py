@@ -53,6 +53,55 @@ def test_kernel_mass_one():
     assert abs(k.raster(probe).sum() - 1.0) < 1e-6
 
 
+def _raster_by_add_at(k, h):
+    """The kernel raster as four np.add.at splats, one per bilinear corner."""
+    half = int(math.ceil((1.0 + k.epsilon) / h)) + 1
+    K = np.zeros((2 * half + 1, 2 * half + 1))
+    pts, ww = k.nodes()
+    gx, gy = pts[:, 0] / h + half, pts[:, 1] / h + half
+    i0, j0 = np.floor(gx).astype(int), np.floor(gy).astype(int)
+    fx, fy = gx - i0, gy - j0
+    for di in (0, 1):
+        for dj in (0, 1):
+            np.add.at(K, (j0 + dj, i0 + di), ww * (fx if di else 1 - fx) * (fy if dj else 1 - fy))
+    return K
+
+
+def _preset_kernels(points):
+    """(kernel, spacing) of each raster that the estimate presets build at
+    `points`: the domains of scaling_experiment and ratio_experiment, and the
+    fixed spacing of kernel-decay; k3-oracles builds none."""
+    from lpgraph.cli import _PRESETS
+
+    out = []
+    for kind, spec in _PRESETS.values():
+        for p in spec.get("params", ()):
+            eps = spec.get("epsilon", p / 4)
+            if kind == "ratio":
+                dom = 1 + p / 2 + 1 + eps + 0.05
+            else:
+                geom = max(p if s == "ball" else 1 + p / 2
+                           for s in spec["assignment"] if s != "constant")
+                dom = geom + (1 + eps + 0.05 if "constant" in spec["assignment"] else 0.1)
+            h = grids.grid_spacing(dom, points)
+            out.append((make_kernel(eps, estimator.policy_angular_nodes(h)), h))
+        if kind == "decay":
+            out.append((make_kernel(spec["epsilon"], 512), 1 / 256))
+    return out
+
+
+@pytest.mark.parametrize("points", [513, 1025])
+def test_raster_equals_the_add_at_splats_of_the_presets(points):
+    # one bincount over the four splats in turn adds each cell's weights in
+    # the same order as four np.add.at calls, so the raster is bit-identical
+    kernels = _preset_kernels(points)
+    assert len(kernels) == 26
+    for k, h in kernels:
+        m = int(math.ceil((1.0 + k.epsilon) / h)) + 1
+        probe = GridField(m * h, h, np.zeros((2 * m + 1, 2 * m + 1)))
+        assert np.array_equal(k.raster(probe), _raster_by_add_at(k, h))
+
+
 def test_bump_support_and_symmetry():
     assert bump(1.0) == 0.0 and bump(-1.0) == 0.0
     ts = np.linspace(0, 0.99, 20)
@@ -845,8 +894,15 @@ def test_far_outer_factor_falls_back_to_the_full_grid(method):
 
 
 @pytest.mark.parametrize("method", ["radon-pair", "direct"])
-def test_zero_outer_factor_gives_zero(method):
-    # so does a zero g or h, whose empty support leaves only zero terms
+def test_zero_outer_factor_gives_zero(method, monkeypatch):
+    # so does a zero g or h, whose empty support has empty tap boxes: no
+    # node shifts g or reads an h inner product
+    calls = {"shift_cubic": 0, "lag_windows": 0}
+    for name in calls:
+        def counted(*args, real=getattr(grids, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(grids, name, counted)
     fs = _moved_triangle_gaussians()
     k = make_kernel(1 / 16, 128, radial_nodes=3)
     for slot in range(3):
@@ -854,6 +910,17 @@ def test_zero_outer_factor_gives_zero(method):
         zeroed[slot] = fs[slot].copy_with(np.zeros_like(fs[slot].values))
         got = form_evaluate(triangle(), zeroed, k, method=method)
         assert got == 0.0 and type(got) is float
+        assert calls == {"shift_cubic": 0, "lag_windows": 0}
+
+
+def test_tap_boxes_of_an_empty_support_are_empty():
+    box = grids.tap_boxes([(0, 0), (0, 0)], 0.1, [[[0.05, 0.0]]], [(0, 9), (0, 9)])
+    assert box.tolist() == [[[0, 0], [0, 0]]]
+    # a nonempty support keeps its tap box, and one empty axis empties both
+    assert grids.tap_boxes([(3, 5), (2, 4)], 0.1, [[[0.05, 0.0]]],
+                           [(0, 9), (0, 9)]).tolist() == [[[2, 7], [1, 6]]]
+    assert not estimator._nonempty(grids.tap_boxes(
+        [(3, 5), (4, 4)], 0.1, [[[0.05, 0.0]]], [(0, 9), (0, 9)])).any()
 
 
 def test_direct_triangle_reads_lens_sums_not_single_inners(monkeypatch):
@@ -927,16 +994,101 @@ def _moved_triangle_gaussians(L=3.0, N=65):
             for a in (0.3, 0.3 + 2 * math.pi / 3, 0.3 + 4 * math.pi / 3)]
 
 
-def test_radon_pair_equals_inner_with_bilinear_radon():
-    # the form path fuses f into the product and shares the g-shift between
-    # the two rotations; bilinear_radon is the field-valued oracle
-    f, g, hf = _moved_triangle_gaussians()
-    k = make_kernel(1 / 16, 128, radial_nodes=3)
-    fused = form_evaluate(triangle(), [f, g, hf], k, method="radon-pair")
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300), spread=st.integers(0, 6))
+def test_node_groups_are_greedy_runs_within_the_spread(seed, n, spread):
+    # cells that walk like the node offsets' cells; the order is a rotation
+    # of the rows, every group stays within the spread, every group but the
+    # last is as long as it can be, and the last one wraps only where it fits
+    cells = np.cumsum(np.random.default_rng(seed).integers(-2, 3, (n, 3)), axis=0)
+    order, starts = estimator._node_groups(cells, spread)
+    assert np.array_equal(order, np.roll(np.arange(n), -order[0]))
+    ends = [*starts[1:], n]
+    assert starts[0] == 0 and all(a < b for a, b in zip(starts, ends))
+    for a, b in zip(starts, ends):
+        run = cells[order[a:b]]
+        assert (run.max(axis=0) - run.min(axis=0) <= spread).all()
+        if b < n:
+            run = cells[order[a:b + 1]]
+            assert (run.max(axis=0) - run.min(axis=0) > spread).any()
+    if order[0] == 0 and len(starts) > 1:
+        ends = np.concatenate([cells[starts[-1]:], cells[:starts[1]]])
+        assert (ends.max(axis=0) - ends.min(axis=0) > spread).any()
+
+
+def _spline_blob_triangle():
+    """f a bump at one corner of the unit triangle, g a Gaussian at the next,
+    and h the cubic spline of a 3 x 3 block of coefficients at the last, so
+    that h's coefficients above CROP_REL_TOL of their largest fill 3 x 3
+    cells: where one rotation takes h onto f, the other takes it off."""
+    L, N = 3.0, 65
+    h = 2 * L / (N - 1)
+    m = (N - 1) // 2
+    r0 = 1 / math.sqrt(3)
+    (ax, ay), b, (cx, cy) = [(r0 * math.cos(a), r0 * math.sin(a))
+                             for a in (0.3, 0.3 + 2 * math.pi / 3, 0.3 + 4 * math.pi / 3)]
+    f = grids.field_from_function(L, h, lambda X, Y: bump(np.hypot(X - ax, Y - ay) / 0.3))
+    g = field_family("gaussian", L, h, center=b, width=0.15)
+    coeffs = np.zeros((N, N))
+    j, i = round(cy / h) + m, round(cx / h) + m
+    coeffs[j - 1:j + 2, i - 1:i + 2] = np.outer([1, 2, 1], [1, 2, 1])
+    taps = np.array([1.0, 4.0, 1.0]) / 6.0
+    values = ndimage.correlate1d(ndimage.correlate1d(coeffs, taps, 0, mode="constant"),
+                                 taps, 1, mode="constant")
+    return [f, g, GridField(L, h, values)]
+
+
+@pytest.mark.parametrize("case", ["gaussians", "wrapping group", "empty h boxes",
+                                  "single-node groups"])
+def test_radon_pair_equals_inner_with_bilinear_radon(case, monkeypatch):
+    # per rotation, the form path forms the g-shifts and the h-shifts of a
+    # group of neighbouring nodes as two matrix products, with no cubic
+    # shift; bilinear_radon is the field-valued oracle.  The cases: a group
+    # that runs on from angle 2 pi into the first nodes, groups where one
+    # rotation's h box is empty, and a kernel whose radial nodes lie more
+    # than the lag cap apart (eps = 0.45 on a fine grid)
+    fs, k = {
+        "gaussians": (_moved_triangle_gaussians(), make_kernel(1 / 16, 128, radial_nodes=3)),
+        "wrapping group": (_moved_triangle_gaussians(N=97), make_kernel(1 / 16, 128, radial_nodes=3)),
+        "empty h boxes": (_spline_blob_triangle(), make_kernel(1 / 16, 128, radial_nodes=3)),
+        "single-node groups": (_moved_triangle_gaussians(L=3.5, N=113),
+                               make_kernel(0.45, 64, radial_nodes=3)),
+    }[case]
+    seen = {}
+    real_groups, real_overlaps = estimator._node_groups, estimator._overlaps
+
+    def groups(*args):
+        seen["order"], seen["starts"] = out = real_groups(*args)
+        return out
+
+    def overlaps(*args):
+        out = real_overlaps(*args)
+        seen["sides"] = estimator._nonempty(out[2])
+        return out
+    monkeypatch.setattr(estimator, "_node_groups", groups)
+    monkeypatch.setattr(estimator, "_overlaps", overlaps)
+    shifts = []
+    for name in ("shift_cubic", "cubic_inner"):
+        monkeypatch.setattr(grids, name, lambda *args, name=name: shifts.append(name))
+    f, g, hf = fs
+    fused = form_evaluate(triangle(), fs, k, method="radon-pair")
+    assert shifts == []  # the products read the coefficients directly
+    monkeypatch.undo()
     oracle = RADON_PAIR_FACTOR * sum(
         inner(f, bilinear_radon(g, hf, theta, k).values)
         for theta in (math.pi / 3, -math.pi / 3))
     assert abs(fused - oracle) <= 1e-12 * abs(oracle)
+    order, starts, sides = seen["order"], seen["starts"], seen["sides"]
+    assert sorted(order.tolist()) == list(range(k.M * k.radial_nodes))
+    if case == "wrapping group":
+        # the last group holds the last node (angle near 2 pi) and the first
+        assert {0, len(order) - 1} <= set(order[starts[-1]:].tolist())
+    if case == "empty h boxes":
+        assert (sides.any(axis=1) & ~sides.all(axis=1)).any()
+    if case == "single-node groups":
+        assert len(starts) == len(order)
+    else:
+        assert len(starts) < len(order) // 4
 
 
 def test_triangle_forms_pinned_and_python_floats():
