@@ -29,13 +29,15 @@ never builds the transform.  The kernel nodes u run angle-major, so
 neighbouring nodes, and their rotations v, read the spline coefficients at
 lags within a few cells of each other; the nodes go in groups whose
 offsets span at most GROUP_LAGS lags per axis.  Per rotation, the
-g-shifts and the h-shifts of a group are two matrix products of its
-nodes' tap kernels with the coefficients read at each lag (Unser, IEEE
-SPM 16(6), 1999), summed against f.  The direct quadrature forms
-f * S_u g at each outer node by a cubic shift; the lens nodes around one
-circle crossing lie within a few cells of each other, so their h-shift
-inner products are read off one correlation of the product with h's
-coefficients over the box of lags they span.  Both quadratures plan their
+g-shifts and the h-shifts of a group of at least DENSE_NODES nodes are two
+matrix products of its nodes' tap kernels with the coefficients read at
+each lag (Unser, IEEE SPM 16(6), 1999), summed against f.  Where the
+nodes lie further apart (a wide bump on a fine grid) the groups are small,
+and each of their nodes takes its own cubic shift.  The direct
+quadrature forms f * S_u g at each outer node by a cubic shift; the lens
+nodes around one circle crossing lie within a few cells of each other, so
+their h-shift inner products are read off one correlation of the product
+with h's coefficients over the box of lags they span.  Both quadratures plan their
 lags with `grids.lag_plans`.
 
 Both triangle quadratures work at each node only where all three factors
@@ -75,10 +77,14 @@ RADON_PAIR_FACTOR = 1.0 / (2.0 * math.sqrt(3.0) * math.pi ** 2)
 CROP_REL_TOL = 1e-16
 
 # the Radon pair groups neighbouring nodes while the offsets of each of its
-# three shifts span at most this many lags per axis (`_radon_pair_terms`),
-# and forms its matrices over strips of at most STRIP_ENTRIES entries: with
+# three shifts span at most GROUP_LAGS lags per axis, and forms the shifts of
+# a group of at least DENSE_NODES nodes as matrix products; in a smaller
+# group, copying the coefficients at each lag costs more than the nodes' own
+# cubic shifts, so it splits into single nodes (`_radon_pair_terms`).  The
+# products run over strips of at most STRIP_ENTRIES entries per matrix: with
 # at least 16 lags, a strip holds at most 8192 cells
 GROUP_LAGS = 8
+DENSE_NODES = 8
 STRIP_ENTRIES = 1 << 17
 
 # OpenBLAS multiplies on one thread up to 2^18 multiply-adds per product
@@ -486,14 +492,18 @@ def _radon_pair_terms(fields: Sequence[GridField], k: MollifiedCircleKernel
 
     The nodes go in groups of neighbours (`_node_groups`) whose offsets u
     and v each span at most GROUP_LAGS lags per axis, and the lag_plans
-    kernels of every group are planned once.  Per group and rotation, on
-    the cells of that rotation's overlap, the g-shifts of its K nodes, each
-    times its weight, are one product G = W_g @ C_g of their kernels (K x
-    lags) with g's coefficients read at each lag (lags x cells,
-    `grids.lag_windows`), the h-shifts are H = W_h @ C_h, and the group
-    adds the sum over the cells of f times the column sums of G * H.  The
-    products run over strips of rows of at most STRIP_ENTRIES entries per
-    matrix, in serial blocks (`_matmul`)."""
+    kernels of every group are planned once.  Per group of at least
+    DENSE_NODES nodes and rotation, on the cells of that rotation's
+    overlap, the g-shifts of its K nodes, each times its weight, are one
+    product G = W_g @ C_g of their kernels (K x lags) with g's coefficients
+    read at each lag (lags x cells, `grids.lag_windows`), the h-shifts are
+    H = W_h @ C_h, and the group adds the sum over the cells of f times the
+    column sums of G * H.  The products run over strips of rows of at most
+    STRIP_ENTRIES entries per matrix, in serial blocks (`_matmul`).
+    A smaller group splits into single nodes, each of which shifts g over
+    its box and takes the inner product of f times that with each h-shift
+    (`grids.cubic_inner`), as one node in a group of its own.
+    """
     f, gg, hh = fields
     _check_radon_factors(gg, hh, k)
     g, h = (grids.cubic_prefilter(x, 1.0 + k.epsilon) for x in (gg, hh))
@@ -508,6 +518,9 @@ def _radon_pair_terms(fields: Sequence[GridField], k: MollifiedCircleKernel
     order, starts = _node_groups(
         np.floor(np.concatenate([u, *vs], axis=1) / f.h).astype(np.int32), GROUP_LAGS - 4)
     u, v, weight = u[order], np.stack(vs, 1)[order], np.tile(wr / k.M, k.M)[order]
+    # a group of fewer than DENSE_NODES nodes splits into single nodes
+    starts = [i for a, b in zip(starts, [*starts[1:], len(u)])
+              for i in ([a] if b - a >= DENSE_NODES else range(a, b))]
     ends = [*starts[1:], len(u)]
     plans = [grids.lag_plans(g.n, f.h, x, starts) for x in (u, v[:, 0], v[:, 1])]
     # a group's least and largest offset coordinates give its tap boxes
@@ -524,22 +537,41 @@ def _radon_pair_terms(fields: Sequence[GridField], k: MollifiedCircleKernel
         need, lo, size = (x[c] for x in plans[i][:3])
         return grids.lag_windows((g, h, h)[i], need, lo, size, cells).reshape(size.prod(), -1)
 
-    def on_box(box, rel):
-        cut, _, bv = _overlaps(f, box, rel, g, h, u_span, v_span, group_weight)
+    def products(c, sides):
+        # per rotation and strip, the weighted g-shifts and the h-shifts
+        W_g = kernels(0, c) * weight[starts[c]:ends[c], None]
         total = 0.0
-        for c in np.flatnonzero(_nonempty(bv).any(axis=1)).tolist():
-            W_g = kernels(0, c) * weight[starts[c]:ends[c], None]
-            for s, ((s0, s1), (t0, t1)) in enumerate(bv[c].tolist()):
-                if s0 >= s1 or t0 >= t1:
-                    continue
-                W_h = kernels(1 + s, c)
-                step = max(1, STRIP_ENTRIES // ((t1 - t0) * max(*W_g.shape, W_h.shape[1])))
-                for q0 in range(s0, s1, step):
-                    q1 = min(q0 + step, s1)
-                    cells = [(q0, q1), (t0, t1)]
-                    G = _matmul(W_g, windows(0, c, cells))
-                    H = _matmul(W_h, windows(1 + s, c, cells))
-                    total += float(np.einsum("ij,ij->j", G, H) @ f.values[q0:q1, t0:t1].ravel())
+        for s, ((s0, s1), (t0, t1)) in sides:
+            W_h = kernels(1 + s, c)
+            step = max(1, STRIP_ENTRIES // ((t1 - t0) * max(*W_g.shape, W_h.shape[1])))
+            for q0 in range(s0, s1, step):
+                q1 = min(q0 + step, s1)
+                cells = [(q0, q1), (t0, t1)]
+                G = _matmul(W_g, windows(0, c, cells))
+                H = _matmul(W_h, windows(1 + s, c, cells))
+                total += float(np.einsum("ij,ij->j", G, H) @ f.values[q0:q1, t0:t1].ravel())
+        return total
+
+    def shifts(j, box, sides):
+        # a single node: a cubic shift of g over its box and the inner
+        # product of f times that with each rotation's h-shift
+        (r0, r1), (c0, c1) = box
+        P = f.values[r0:r1, c0:c1] * grids.shift_cubic(g, f.h, *u[j].tolist(), box)
+        return weight[j] * sum(
+            grids.cubic_inner(P[s0 - r0:s1 - r0, t0 - c0:t1 - c0], h, f.h,
+                              *v[j, s].tolist(), [(s0, s1), (t0, t1)])
+            for s, ((s0, s1), (t0, t1)) in sides)
+
+    def on_box(box, rel):
+        cut, bu, bv = _overlaps(f, box, rel, g, h, u_span, v_span, group_weight)
+        read = _nonempty(bv)
+        total = 0.0
+        for c in np.flatnonzero(read.any(axis=1)).tolist():
+            sides = [(s, b) for s, b in enumerate(bv[c].tolist()) if read[c, s]]
+            if ends[c] - starts[c] >= DENSE_NODES:
+                total += products(c, sides)
+            else:
+                total += shifts(starts[c], bu[c].tolist(), sides)
         return float(RADON_PAIR_FACTOR * total * f.h ** 2), cut
 
     # the node weights w / M are positive and sum to one per rotation
@@ -551,7 +583,8 @@ def _radon_pair(g: Graph, fields: Sequence[GridField],
     """sum over theta = +-pi/3 of inner(f, bilinear_radon(g, h, theta)),
     fused: per group of neighbouring nodes u and rotation, the g-shifts
     S_u g and the h-shifts S_v h of all its nodes are two matrix products,
-    summed against f (`_radon_pair_terms`).
+    summed against f, or where the nodes lie too far apart for large groups,
+    one cubic shift and inner product per node (`_radon_pair_terms`).
 
     They are formed on f's box at CROP_REL_TOL cut to the group's tap boxes
     of g at u and of h at v (`_cropped`).  A node's own tap boxes lie inside

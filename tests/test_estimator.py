@@ -1043,10 +1043,12 @@ def _spline_blob_triangle():
 def test_radon_pair_equals_inner_with_bilinear_radon(case, monkeypatch):
     # per rotation, the form path forms the g-shifts and the h-shifts of a
     # group of neighbouring nodes as two matrix products, with no cubic
-    # shift; bilinear_radon is the field-valued oracle.  The cases: a group
-    # that runs on from angle 2 pi into the first nodes, groups where one
-    # rotation's h box is empty, and a kernel whose radial nodes lie more
-    # than the lag cap apart (eps = 0.45 on a fine grid)
+    # shift, and splits a group of fewer than DENSE_NODES into single nodes,
+    # which shift g one by one; bilinear_radon is the field-valued oracle of
+    # both, and each case also runs with every group on the products.  The
+    # cases: a group that runs on from angle 2 pi into the first nodes,
+    # groups where one rotation's h box is empty, and a kernel whose radial
+    # nodes lie more than the lag cap apart (eps = 0.45 on a fine grid)
     fs, k = {
         "gaussians": (_moved_triangle_gaussians(), make_kernel(1 / 16, 128, radial_nodes=3)),
         "wrapping group": (_moved_triangle_gaussians(N=97), make_kernel(1 / 16, 128, radial_nodes=3)),
@@ -1069,16 +1071,21 @@ def test_radon_pair_equals_inner_with_bilinear_radon(case, monkeypatch):
     monkeypatch.setattr(estimator, "_overlaps", overlaps)
     shifts = []
     for name in ("shift_cubic", "cubic_inner"):
-        monkeypatch.setattr(grids, name, lambda *args, name=name: shifts.append(name))
+        def counted(*args, real=getattr(grids, name), name=name):
+            shifts.append(name)
+            return real(*args)
+        monkeypatch.setattr(grids, name, counted)
     f, g, hf = fs
     fused = form_evaluate(triangle(), fs, k, method="radon-pair")
-    assert shifts == []  # the products read the coefficients directly
+    order, starts, sides = seen["order"], seen["starts"], seen["sides"]
+    monkeypatch.setattr(estimator, "DENSE_NODES", 1)
+    on_products = form_evaluate(triangle(), fs, k, method="radon-pair")
     monkeypatch.undo()
     oracle = RADON_PAIR_FACTOR * sum(
         inner(f, bilinear_radon(g, hf, theta, k).values)
         for theta in (math.pi / 3, -math.pi / 3))
-    assert abs(fused - oracle) <= 1e-12 * abs(oracle)
-    order, starts, sides = seen["order"], seen["starts"], seen["sides"]
+    for got in (fused, on_products):
+        assert abs(got - oracle) <= 1e-12 * abs(oracle)
     assert sorted(order.tolist()) == list(range(k.M * k.radial_nodes))
     if case == "wrapping group":
         # the last group holds the last node (angle near 2 pi) and the first
@@ -1086,9 +1093,12 @@ def test_radon_pair_equals_inner_with_bilinear_radon(case, monkeypatch):
     if case == "empty h boxes":
         assert (sides.any(axis=1) & ~sides.all(axis=1)).any()
     if case == "single-node groups":
-        assert len(starts) == len(order)
+        # each node a group of its own: one cubic shift per node that reads h
+        assert len(starts) == len(sides) == len(order)
+        assert shifts.count("shift_cubic") == int(sides.any(axis=1).sum()) > 0
     else:
-        assert len(starts) < len(order) // 4
+        # the products read the coefficients directly
+        assert len(starts) < len(order) // 4 and shifts == []
 
 
 def test_triangle_forms_pinned_and_python_floats():
