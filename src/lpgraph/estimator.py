@@ -492,8 +492,8 @@ def _radon_pair_terms(fields: Sequence[GridField], k: MollifiedCircleKernel
 
     The nodes go in groups of neighbours (`_node_groups`) whose offsets u
     and v each span at most GROUP_LAGS lags per axis, and the lag_plans
-    kernels of every group are planned once.  Per group of at least
-    DENSE_NODES nodes and rotation, on the cells of that rotation's
+    kernels of every group of at least DENSE_NODES nodes are planned once.
+    Per such group and rotation, on the cells of that rotation's
     overlap, the g-shifts of its K nodes, each times its weight, are one
     product G = W_g @ C_g of their kernels (K x lags) with g's coefficients
     read at each lag (lags x cells, `grids.lag_windows`), the h-shifts are
@@ -522,33 +522,43 @@ def _radon_pair_terms(fields: Sequence[GridField], k: MollifiedCircleKernel
     starts = [i for a, b in zip(starts, [*starts[1:], len(u)])
               for i in ([a] if b - a >= DENSE_NODES else range(a, b))]
     ends = [*starts[1:], len(u)]
-    plans = [grids.lag_plans(g.n, f.h, x, starts) for x in (u, v[:, 0], v[:, 1])]
+    # only the groups that stay whole are planned: plan q is of group
+    # whole[q], whose nodes are its rows first[q]:first[q + 1]
+    sizes = np.diff([*starts, len(u)])
+    dense = sizes >= DENSE_NODES
+    whole = np.flatnonzero(dense).tolist()
+    first = np.cumsum([0, *sizes[dense]]).tolist()
+    nodes = np.flatnonzero(np.repeat(dense, sizes))
+    plans = [grids.lag_plans(g.n, f.h, x[nodes], first[:-1]) if whole else None
+             for x in (u, v[:, 0], v[:, 1])]
+    plan_of = {c: q for q, c in enumerate(whole)}
     # a group's least and largest offset coordinates give its tap boxes
     u_span, v_span = (np.stack([np.minimum.reduceat(x, starts),
                                 np.maximum.reduceat(x, starts)], -2) for x in (u, v))
     group_weight = np.add.reduceat(weight, starts)
 
-    def kernels(i, c):
+    def kernels(i, q):
         _, _, size, at, taps = plans[i]
-        return grids.lag_kernels(at[starts[c]:ends[c]], taps[starts[c]:ends[c]],
-                                 size[c]).reshape(ends[c] - starts[c], -1)
+        return grids.lag_kernels(at[first[q]:first[q + 1]], taps[first[q]:first[q + 1]],
+                                 size[q]).reshape(first[q + 1] - first[q], -1)
 
-    def windows(i, c, cells):
-        need, lo, size = (x[c] for x in plans[i][:3])
+    def windows(i, q, cells):
+        need, lo, size = (x[q] for x in plans[i][:3])
         return grids.lag_windows((g, h, h)[i], need, lo, size, cells).reshape(size.prod(), -1)
 
     def products(c, sides):
         # per rotation and strip, the weighted g-shifts and the h-shifts
-        W_g = kernels(0, c) * weight[starts[c]:ends[c], None]
+        q = plan_of[c]
+        W_g = kernels(0, q) * weight[starts[c]:ends[c], None]
         total = 0.0
         for s, ((s0, s1), (t0, t1)) in sides:
-            W_h = kernels(1 + s, c)
+            W_h = kernels(1 + s, q)
             step = max(1, STRIP_ENTRIES // ((t1 - t0) * max(*W_g.shape, W_h.shape[1])))
             for q0 in range(s0, s1, step):
                 q1 = min(q0 + step, s1)
                 cells = [(q0, q1), (t0, t1)]
-                G = _matmul(W_g, windows(0, c, cells))
-                H = _matmul(W_h, windows(1 + s, c, cells))
+                G = _matmul(W_g, windows(0, q, cells))
+                H = _matmul(W_h, windows(1 + s, q, cells))
                 total += float(np.einsum("ij,ij->j", G, H) @ f.values[q0:q1, t0:t1].ravel())
         return total
 
@@ -568,7 +578,7 @@ def _radon_pair_terms(fields: Sequence[GridField], k: MollifiedCircleKernel
         total = 0.0
         for c in np.flatnonzero(read.any(axis=1)).tolist():
             sides = [(s, b) for s, b in enumerate(bv[c].tolist()) if read[c, s]]
-            if ends[c] - starts[c] >= DENSE_NODES:
+            if c in plan_of:
                 total += products(c, sides)
             else:
                 total += shifts(starts[c], bu[c].tolist(), sides)

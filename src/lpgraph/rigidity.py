@@ -333,6 +333,48 @@ def _in_sibling_window(th_i: np.ndarray, th_j: np.ndarray,
     return (d >= window[0]) & (d <= window[1])
 
 
+def _near_sibling_window(s_i: np.ndarray, s_j: np.ndarray, m: int,
+                         window: tuple[float, float]) -> np.ndarray:
+    """Whether the stratified angles (s + U) 2 pi / m, 0 <= U < 1, of the
+    strata s_i and s_j can lie in the window: a superset of the samples
+    that _in_sibling_window keeps, whatever the jitters U.
+
+    The folded difference min(|D|, m - |D|) of the angles in strata moves by
+    less than one from that of the strata, as the fold is 1-Lipschitz on
+    (-m, m); the bounds round outward to whole strata and take one more for
+    the rounding of the angles, which moves them by far less."""
+    d = np.abs(s_i - s_j)
+    np.minimum(d, m - d, out=d)
+    scale = m / (2.0 * math.pi)
+    return (d >= math.floor(window[0] * scale) - 1) & (d <= math.ceil(window[1] * scale) + 1)
+
+
+def _window_angles(rng: np.random.Generator, m: int, children: Sequence[int],
+                   siblings: Sequence[tuple[int, int]], window: tuple[float, float]
+                   ) -> tuple[int, dict[int, np.ndarray]]:
+    """The samples of a batch of m whose children's stratified angles lie in
+    the window for every pair of siblings: their number, and per child its
+    angles at them, in sample order.
+
+    Child v's angle at sample s is (pi_v(s) + U) 2 pi / m, U uniform on
+    [0, 1): pi is the identity for the first child and a random permutation
+    of range(m) for each other, drawn in order.  The jitters U are drawn, in
+    the same order, only at the samples that the strata alone leave near
+    every window (_near_sibling_window)."""
+    strata = dict(zip(children, [np.arange(m), *(rng.permutation(m) for _ in children[1:])]))
+    near = np.ones(m, dtype=bool)
+    for i, j in siblings:
+        near &= _near_sibling_window(strata[i], strata[j], m, window)
+    near = np.flatnonzero(near)
+    angle = {v: (s[near] + rng.random(near.size)) * (2.0 * math.pi / m)
+             for v, s in strata.items()}
+    fits = np.ones(near.size, dtype=bool)
+    for i, j in siblings:
+        fits &= _in_sibling_window(angle[i], angle[j], window)
+    kept = np.flatnonzero(fits)
+    return kept.size, {v: th[kept] for v, th in angle.items()}
+
+
 def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
                   master_seed: int) -> LerayEstimate:
     """Monte-Carlo integral of prod f_i(x_i) against the box-window shell.
@@ -345,16 +387,25 @@ def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
     around its parent (importance weight 2 pi r per tree edge); the
     remaining edge windows are evaluated as-is.
 
-    Each batch of MC_BATCH samples draws from its own random stream, in one
-    order: the root cell and the two root jitters, then per child its radius
-    and stratified angle.  A non-tree edge between two children of one
-    parent can only fire when their folded angle lies in the window of
-    _sibling_window.  Every batch makes all its draws first and places,
-    tests and weighs only the samples inside every window (all of them,
-    when the graph has no such edge); the others weigh exactly zero.  The
-    kept weights are scattered back into the full batch before it is
-    summed, so the estimate is the one of placing every sample.
-    Deterministic for a fixed master seed.
+    Each batch of m <= MC_BATCH samples draws from its own random stream
+    and makes only the draws that a sample can use.  Sample s of child v
+    has its angle in stratum pi_v(s) of m equal ones (random stratum pairing
+    cuts the variance of the angular hit windows without biasing the mean).
+    The first child in BFS order takes pi = identity, and every other child
+    a random permutation drawn in BFS order.  Relabelling the samples of a batch
+    by pi_1^-1 leaves its sum unchanged, every other draw is i.i.d. per
+    sample, and each pi_v o pi_1^-1 is again uniform and independent, so
+    this is the law of drawing a permutation for every child.
+
+    A non-tree edge between two children of one parent can only fire when
+    their folded angle lies in the window of _sibling_window.  The strata
+    alone rule out most samples (_near_sibling_window); the angle jitters
+    are drawn for the others, in BFS order, and their angles tested against
+    every window.  Then, for the samples inside every window only (all m,
+    when the graph has no such edge), the root cell, the two root jitters
+    and each child's radius are drawn in that order, and the samples are
+    placed, tested and weighed; the samples outside weigh exactly zero and
+    are left out of the sums.  Deterministic for a fixed master seed.
     """
     if not 0.0 < epsilon < 1.0:
         # radii on [1 - eps, 1 + eps] must be positive
@@ -383,24 +434,11 @@ def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
 
     def batch(rng: np.random.Generator, m: int) -> tuple[float, float, int]:
         """(sum, sum of squares, hits) of m weighted samples."""
-        draws = rng.random(m) * cum[-1]
-        jitter = rng.random(m), rng.random(m)
-        # per child its radius and stratified angle (random stratum pairing
-        # cuts the variance of the angular hit windows without biasing the
-        # mean)
-        children = [(v, rng.uniform(1.0 - epsilon, 1.0 + epsilon, m),
-                     (rng.permutation(m) + rng.random(m)) * (2.0 * math.pi / m))
+        k, angle = _window_angles(rng, m, order[1:], siblings, window)
+        draws = rng.random(k) * cum[-1]
+        jitter = rng.random(k), rng.random(k)
+        children = [(v, rng.uniform(1.0 - epsilon, 1.0 + epsilon, k), angle[v])
                     for v in order[1:]]
-        angle = {v: th for v, _, th in children}
-        fits = np.ones(m, dtype=bool)
-        for i, j in siblings:
-            fits &= _in_sibling_window(angle[i], angle[j], window)
-        kept = np.flatnonzero(fits)
-        draws = draws[kept]
-        jitter = jitter[0][kept], jitter[1][kept]
-        children = [(v, r[kept], th[kept]) for v, r, th in children]
-
-        k = draws.size
         pts = np.empty((g.n, 2, k))  # one contiguous row per vertex and axis
         # root point from the first factor's cell-mass distribution
         idx = _invert_cdf(cum, guide, draws)
@@ -419,20 +457,13 @@ def leray_mc_form(g: Graph, functions: Sequence, epsilon: float, samples: int,
             dx, dy = pts[i - 1] - pts[j - 1]
             d = np.sqrt(dx * dx + dy * dy)  # rounded as np.linalg.norm rounds it
             ok &= np.abs(d - 1.0) <= epsilon
-        w = np.where(ok, w, 0.0)
-        w *= (2.0 * epsilon) ** (-len(non_tree))
         # rejected weights are exactly zero: sample the factors only where
         # every window fired
         acc = np.flatnonzero(ok)
-        wa = w[acc]
+        wa = w[acc] * (2.0 * epsilon) ** (-len(non_tree))
         for v in range(2, g.n + 1):
             wa *= functions[v - 1].sample_bilinear(pts[v - 1][:, acc].T)
-        w[acc] = wa
-        # the pairwise sum of the full batch, zeros included, rounds as it
-        # would had every sample been placed
-        full = np.zeros(m)
-        full[kept] = w
-        return float(np.sum(full)), float(np.sum(full * full)), acc.size
+        return float(np.sum(wa)), float(np.sum(wa * wa)), acc.size
 
     total = total_sq = 0.0
     hits = 0

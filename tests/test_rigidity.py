@@ -337,8 +337,10 @@ def test_guide_table_inverts_like_searchsorted(name):
 
 
 def test_mc_results_pinned():
-    # (value, std_error, shell_hits) recorded before the factors were sampled
-    # at accepted points only; a partial last batch is included
+    # (value, std_error, shell_hits), a partial last batch included.
+    # Recorded when the strata came to be drawn first and the radii and
+    # root cells for windowed samples only: 0.46 and 0.20 combined standard
+    # errors from the pins of the draw order before (CHANGES.md)
     L = 2.6
     h = grids.grid_spacing(L, 97)
     r0 = 1 / math.sqrt(3)
@@ -348,14 +350,14 @@ def test_mc_results_pinned():
     est = leray_mc_form(triangle(), tri, epsilon=1 / 32, samples=250_000,
                         master_seed=7)
     assert (est.value, est.std_error, est.shell_hits) == (
-        0.019099117577497507, 0.0016927687940635873, 5742)
+        0.018014357450219804, 0.0016701762939287457, 5838)
     chain = [field_family("ball", L, h, delta=0.3),
              field_family("annulus", L, h, delta=0.25),
              field_family("gaussian", L, h, center=(0.2, -0.1), width=0.2)]
     est = leray_mc_form(path3(), chain, epsilon=1 / 16, samples=150_000,
                         master_seed=3)
     assert (est.value, est.std_error, est.shell_hits) == (
-        0.0013459331171096123, 4.6403516337823e-05, 150000)
+        0.0013591300737468143, 4.5946219321335206e-05, 150000)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -0.5, 1.0, 2.0])
@@ -375,19 +377,20 @@ K4 = Graph(4, tuple((i, j) for i in range(1, 5) for j in range(i + 1, 5)))
 K4_MINUS_14 = Graph(4, ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4)))
 _HALF_ROOT3 = math.sqrt(3.0) / 2.0
 # graph, centers, gaussian width, epsilon, samples, seed, (value, std_error,
-# shell_hits) as recorded while every sample was still placed
+# shell_hits), recorded with test_mc_results_pinned: 1.30, 1.20 and 1.67
+# combined standard errors from the pins of the draw order before
 SIBLING_PINS = {
     "C4, no sibling edge": (
         cycle(4), [(0, 0), (1, 0), (1, 1), (0, 1)], 0.15, 1 / 16, 130_000, 5,
-        (0.003516508813403898, 0.001063660159096793, 11360)),
+        (0.006207121982918868, 0.0017671534545307468, 11298)),
     "K4, three sibling windows": (
         K4, [(-0.41, -0.41), (0.41, -0.41), (0.41, 0.41), (-0.41, 0.41)],
         0.25, 0.3, 230_000, 6,
-        (0.0017903815017683723, 0.0006480479098527933, 875)),
+        (0.003521546861066727, 0.0012845018264060126, 839)),
     "K4 - 14, one sibling window": (
         K4_MINUS_14, [(0, 0), (0.5, _HALF_ROOT3), (1, 0), (1.5, _HALF_ROOT3)],
         0.15, 1 / 8, 170_000, 8,
-        (0.007751503330747889, 0.002720864826779999, 1490)),
+        (0.0028735898970133843, 0.00104494311948138, 1525)),
 }
 
 
@@ -494,9 +497,10 @@ def test_sibling_window_keeps_every_tight_pair():
 
 
 def test_trig_of_gathered_angles_matches_full_array():
-    # the sampler takes np.cos and np.sin of the kept angles only; the pinned
-    # estimates need each element rounded as in the full batch, whichever
-    # SIMD lane or loop tail it lands in
+    # the sampler takes np.cos and np.sin of the kept angles, arrays of any
+    # length, while the window tests above place one or two samples at a
+    # time; their guarantee carries over only if each element rounds alike
+    # whichever SIMD lane or loop tail it lands in
     m = 10 ** 6
     rng = np.random.default_rng(19)
     th = (rng.permutation(m) + rng.random(m)) * (2.0 * math.pi / m)
@@ -507,3 +511,43 @@ def test_trig_of_gathered_angles_matches_full_array():
             sel = kept[:length]
             for fn, out in full.items():
                 assert np.array_equal(fn(th[sel]), out[sel]), (fn, density, length)
+
+
+_JITTERS = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                     st.sampled_from([0.0, np.nextafter(1.0, 0.0)]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 49), _EPSILONS, st.data())
+def test_stratum_prefilter_keeps_every_windowed_sample(m, epsilon, data):
+    # the sampler draws the angle jitters only where the strata leave a
+    # pair near the window; testing the angles there must keep exactly the
+    # samples that the window keeps on the full batch
+    from lpgraph.rigidity import _in_sibling_window, _near_sibling_window, _sibling_window
+
+    window = _sibling_window(epsilon)
+    strata = [np.arange(m), np.array(data.draw(st.permutations(range(m))))]
+    jitter = [np.array(data.draw(st.lists(_JITTERS, min_size=m, max_size=m)))
+              for _ in strata]
+
+    def angles(at):
+        return [(s[at] + u[at]) * (2.0 * math.pi / m) for s, u in zip(strata, jitter)]
+
+    full = np.flatnonzero(_in_sibling_window(*angles(slice(None)), window))
+    near = np.flatnonzero(_near_sibling_window(*strata, m, window))
+    assert np.array_equal(near[_in_sibling_window(*angles(near), window)], full)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 1000, 100_000])
+def test_child_strata_cover_every_stratum_once(m):
+    # with no sibling window every sample is kept, and each child's angles
+    # fall one into each stratum [s, s + 1] 2 pi / m, s in range(m)
+    from lpgraph.rigidity import _window_angles
+
+    k, angle = _window_angles(np.random.default_rng(m), m, [2, 3, 4], [],
+                              (0.0, math.pi))
+    assert k == m and list(angle) == [2, 3, 4]
+    step = 2.0 * math.pi / m
+    for th in angle.values():
+        th = np.sort(th)
+        assert np.all(np.arange(m) * step <= th) and np.all(th <= np.arange(1, m + 1) * step)
